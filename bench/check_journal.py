@@ -25,7 +25,10 @@ import json
 import re
 import sys
 
-KNOWN_SCHEMAS = {1}
+# Schema 2 removed fields (see docs/observability.md); the required sets
+# below are the schema-2 ones, which schema-1 records also carry. Kinds
+# that schema 2 dropped are skipped as unknown.
+KNOWN_SCHEMAS = {1, 2}
 
 KIND_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
@@ -35,25 +38,21 @@ REQUIRED_FIELDS = {
     "journal-begin": {"schema"},
     "journal-end": {"events"},
     "sweep-begin": {"space", "explored", "strategy", "threads"},
-    "sweep-end": {"explored", "accepted", "pruned", "rescued", "front"},
+    "sweep-end": {"explored", "accepted", "pruned", "front"},
     "enumerated": {"config"},
     "verdict": {"config", "accepted", "cache_hit"},
     "estimate": {"config", "fidelity", "cache_hit"},
-    "rung": {"rung", "candidates", "kept", "bound_fidelity"},
-    "rung-promote": {"config", "rung"},
     "prune": {"config", "reason", "dominator", "bound_fidelity"},
-    "rescue": {"config"},
     "front-enter": {"config", "front"},
     "front-evict": {"config", "front", "by"},
     "progress": {"phase", "done", "total", "front_size"},
     # Distributed DSE (src/cluster/Cluster.cpp, docs/cluster.md).
     "cluster-begin": {"workers", "shards", "space", "strategy", "limit"},
     "cluster-end": {"ok", "shards_done", "retries", "reassignments",
-                    "worker_deaths", "duplicates", "front", "front_hash"},
-    "shard-dispatch": {"shard", "worker", "attempt", "speculative"},
+                    "worker_deaths", "front", "front_hash"},
+    "shard-dispatch": {"shard", "worker", "attempt"},
     "shard-reassign": {"shard", "to_worker", "attempt"},
-    "shard-done": {"shard", "worker", "points", "fingerprint", "duplicate",
-                   "ms"},
+    "shard-done": {"shard", "worker", "points", "ms"},
     "shard-retry": {"shard", "worker", "attempt", "reason"},
     "worker-dead": {"worker", "failures"},
     "cache-sync": {"workers", "verdicts", "estimates"},

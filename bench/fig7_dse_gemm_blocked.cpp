@@ -15,10 +15,9 @@
 // Flags:
 //   --threads N     worker threads (also: DAHLIA_DSE_THREADS; default: all
 //                   hardware threads) — CI runs deterministically at 1
-//   --strategy S    exhaustive (default) | halving | pareto-prune; the
-//                   pruned strategies reach the identical Pareto front
-//                   with a fraction of the full-fidelity estimates
-//   --eta N         successive-halving keep fraction 1/N (default 4)
+//   --strategy S    exhaustive (default) | pareto-prune; the pruned
+//                   strategy reaches the identical Pareto front with a
+//                   fraction of the full-fidelity estimates
 //   --exact-top-rung promote the front to cycle-level simulated (Exact)
 //                   estimates: membership is then ranked by exact cycles
 //                   while only a small fraction of the space is ever
@@ -29,7 +28,7 @@
 //   --json PATH     write metrics + front (default: BENCH_fig7_dse.json)
 //   --cache-dir D   persist the memo cache under D (e.g. .dahlia-cache);
 //                   a second run then starts warm and reports the hit rate
-//   --trace-out F   record spans (DSE workers, rung passes, cache I/O) and
+//   --trace-out F   record spans (DSE workers, bound passes, cache I/O) and
 //                   write Chrome trace-event JSON to F at exit — load it
 //                   in Perfetto (see docs/observability.md)
 //   --journal-out F record the structured JSONL search journal to F;
@@ -78,20 +77,11 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(Argv[I], "--strategy") && I + 1 < Argc) {
       std::optional<dse::StrategyKind> K = dse::parseStrategy(Argv[++I]);
       if (!K) {
-        std::fprintf(stderr,
-                     "fig7: unknown --strategy '%s' (exhaustive, halving, "
-                     "pareto-prune)\n",
-                     Argv[I]);
+        std::fprintf(stderr, "fig7: unknown --strategy '%s' (%s)\n", Argv[I],
+                     dse::kStrategyNames);
         return 2;
       }
       Opts.Strategy = *K;
-    } else if (!std::strcmp(Argv[I], "--eta") && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 2) {
-        std::fprintf(stderr, "fig7: --eta must be >= 2\n");
-        return 2;
-      }
-      Opts.HalvingEta = static_cast<unsigned>(N);
     } else if (!std::strcmp(Argv[I], "--exact-top-rung")) {
       Opts.ExactTopRung = true;
     } else if (!std::strcmp(Argv[I], "--shard") && I + 1 < Argc) {
@@ -185,8 +175,8 @@ int main(int Argc, char **Argv) {
   std::printf("full estimates:        %s",
               dse::fractionString(St.Estimated, St.Explored).c_str());
   if (Opts.Strategy != dse::StrategyKind::Exhaustive)
-    std::printf("   [+%zu low-fidelity, %zu pruned, %zu rescued]",
-                St.LowFidelityEstimates, St.Pruned, St.Rescued);
+    std::printf("   [+%zu low-fidelity, %zu pruned]",
+                St.LowFidelityEstimates, St.Pruned);
   std::printf("\n");
   if (Opts.ExactTopRung)
     std::printf("exact (simulated):     %s of the space promoted to the "
@@ -267,7 +257,6 @@ int main(int Argc, char **Argv) {
     J["full_estimate_fraction"] = FullFraction;
     J["low_fidelity_estimates"] = St.LowFidelityEstimates;
     J["pruned"] = St.Pruned;
-    J["rescued"] = St.Rescued;
     J["exact_top_rung"] = Opts.ExactTopRung;
     J["exact_estimates"] = St.ExactEstimates;
     J["exact_estimate_fraction"] =

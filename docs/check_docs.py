@@ -9,6 +9,10 @@ Checks three machine-verifiable contracts:
     `dahlia-fuzz`, and `dahlia-fuzz-proto` accept (their --help output,
     or the usage strings in their sources when --bin-dir is not given)
     appears in docs/cli.md;
+  * conversely, every flag docs/cli.md mentions is one of those, or one
+    the figure harnesses with documented flags (`fig7_dse_gemm_blocked`,
+    `service_throughput`, `cluster_throughput`, `sim_accuracy`) compare
+    their arguments against — so a removed flag cannot leave a stale row;
   * every metric name registered under src/ (the string literals passed
     to metrics::counter/gauge/histogram) appears in
     docs/observability.md;
@@ -24,8 +28,9 @@ Usage:
   docs/check_docs.py [--bin-dir build] [--repo .] [--self-test]
 
 --self-test additionally verifies the gate has teeth: it replays the
-checks against doc text with one op, one flag, and one metric removed
-and fails if that tampering is NOT detected. CI runs both.
+checks against doc text with one op, one flag, and one metric removed,
+and with one stale flag added, and fails if that tampering is NOT
+detected. CI runs both.
 
 Exits non-zero listing every violation.
 """
@@ -84,6 +89,36 @@ def binary_flags(repo, bin_dir, name, source):
     if not flags:
         sys.exit(f"check_docs: extracted no flags for {name}")
     return flags
+
+
+HARNESS_FLAG_RE = re.compile(r'"(--[a-z][a-z-]*)"')
+
+# Figure harnesses whose flags docs/cli.md documents. They have no
+# --help; their argument loops compare against these string literals.
+HARNESSES = {
+    "fig7_dse_gemm_blocked": "bench/fig7_dse_gemm_blocked.cpp",
+    "service_throughput": "bench/service_throughput.cpp",
+    "cluster_throughput": "bench/cluster_throughput.cpp",
+    "sim_accuracy": "bench/sim_accuracy.cpp",
+}
+
+
+def harness_flags(repo):
+    """Every flag literal a figure harness's source compares against."""
+    flags = set()
+    for source in HARNESSES.values():
+        flags |= set(HARNESS_FLAG_RE.findall(read(os.path.join(repo,
+                                                               source))))
+    if not flags:
+        sys.exit("check_docs: extracted no figure-harness flags")
+    return flags
+
+
+def check_stale_flags(known_flags, cli_md):
+    """Flags cli.md documents that no binary or harness accepts."""
+    return [f"docs/cli.md: flag '{flag}' is documented but no binary or "
+            f"harness accepts it"
+            for flag in sorted(set(FLAG_RE.findall(cli_md)) - known_flags)]
 
 
 METRIC_RE = re.compile(
@@ -263,8 +298,11 @@ def main():
     cluster_names = cluster_surface(args.repo)
     cluster_md = read(os.path.join(args.repo, "docs", "cluster.md"))
 
+    known_flags = harness_flags(args.repo).union(*flags_by_bin.values())
+
     failures = check(ops, flags_by_bin, metrics, events, protocol_md,
                      cli_md, observability_md)
+    failures += check_stale_flags(known_flags, cli_md)
     failures += check_cluster_doc(cluster_names, cluster_md)
     if args.self_test:
         failures += self_test(ops, flags_by_bin, metrics, events,
@@ -277,6 +315,12 @@ def main():
             failures.append(
                 f"self-test: removing '{victim}' from cluster.md was "
                 f"not detected")
+        # And the reverse flag leg: a row for a flag nothing accepts.
+        tampered = cli_md + "\n| `--stale-flag` | removed long ago |\n"
+        if not check_stale_flags(known_flags, tampered):
+            failures.append(
+                "self-test: a stale '--stale-flag' row in cli.md was not "
+                "detected")
 
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)

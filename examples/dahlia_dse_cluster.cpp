@@ -13,10 +13,9 @@
 //   dahlia-dse-cluster --workers 9001,9002,9003 --space gemm-blocked \
 //       --limit 4000 --shards 6 --verify-single
 //
-// Shards retry with backoff, reassign away from dead or stalled workers
-// (per-shard receive timeout), and idle workers speculatively re-run
-// stragglers' shards; duplicate completions resolve first-wins with a
-// fingerprint cross-check. --verify-single runs the same sweep in-process
+// Shards retry with backoff and reassign away from dead or stalled workers
+// (per-shard receive timeout); a shard never has more than one runner.
+// --verify-single runs the same sweep in-process
 // afterwards and exits nonzero unless the fronts and hashes match exactly
 // — the CI cluster smoke is this flag plus one injected worker kill.
 //
@@ -43,7 +42,7 @@ namespace {
 const char *kUsage =
     "usage: dahlia-dse-cluster --workers PORT[,HOST:PORT...] [--space S] "
     "[--strategy S] [--limit N] [--threads N] [--exact-top-rung] "
-    "[--shards M] [--retry N] [--shard-timeout-ms N] [--no-speculate] "
+    "[--shards M] [--retry N] [--shard-timeout-ms N] "
     "[--sync-cache] [--status-interval-ms N] [--probe] [--json PATH] "
     "[--journal-out FILE] [--verify-single] [--help]\n";
 
@@ -116,8 +115,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       Opts.ShardTimeoutMs = static_cast<int>(N);
-    } else if (!std::strcmp(Argv[I], "--no-speculate")) {
-      Opts.Speculate = false;
     } else if (!std::strcmp(Argv[I], "--sync-cache")) {
       Opts.SyncCacheAfter = true;
     } else if (!std::strcmp(Argv[I], "--status-interval-ms") &&

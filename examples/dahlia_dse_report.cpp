@@ -36,7 +36,7 @@ const char *kUsage =
     "           [--timeline] [--why-pruned CONFIG] [--trace-out PATH]\n"
     "           [--assert-consistent] [--sweep N] [--json] [--help]\n"
     "\n"
-    "  --funnel             rung-funnel table (default with --cache-stats)\n"
+    "  --funnel             search-funnel table (default with --cache-stats)\n"
     "  --cache-stats        verdict/estimate cache-hit breakdown\n"
     "  --timeline           Pareto-front evolution (enter/evict rows)\n"
     "  --why-pruned CONFIG  explain why a configuration was pruned\n"
@@ -68,21 +68,13 @@ void printFunnel(const Json &F, size_t Sweep) {
     std::printf("  est:%-7s %6lld runs     %6lld cached\n", Fid.c_str(),
                 static_cast<long long>(E.at("count").asInt()),
                 static_cast<long long>(E.at("cache_hits").asInt()));
-  for (const Json &R : F.at("rungs").asArray())
-    std::printf("  rung %lld     %6lld candidates -> %lld kept (%s bound)\n",
-                static_cast<long long>(R.at("rung").asInt()),
-                static_cast<long long>(R.at("candidates").asInt()),
-                static_cast<long long>(R.at("kept").asInt()),
-                R.at("bound_fidelity").asString().c_str());
   const Json &P = F.at("pruned");
   std::printf("  pruned      %6lld",
               static_cast<long long>(P.at("total").asInt()));
   for (const auto &[Fid, N] : P.at("by_bound_fidelity").asObject())
     std::printf("  [%s: %lld]", Fid.c_str(),
                 static_cast<long long>(N.asInt()));
-  std::printf("\n  rescued     %6lld\n",
-              static_cast<long long>(F.at("rescued").asInt()));
-  std::printf("  front       %6lld members (%lld accepted)\n",
+  std::printf("\n  front       %6lld members (%lld accepted)\n",
               static_cast<long long>(F.at("front_size").asInt()),
               static_cast<long long>(F.at("accepted_front_size").asInt()));
 }

@@ -96,24 +96,6 @@ std::string joinErrors(const std::vector<Error> &Errors) {
   return Out;
 }
 
-/// Canonical fingerprint of one shard's front points: ascending indices
-/// hashed together with their exact objective vectors (the same FNV
-/// front hash the bench gate pins). \p Points must already be sorted
-/// ascending and duplicate-free (attemptShard validates).
-uint64_t fingerprintOf(const std::vector<dse::FrontPoint> &Points) {
-  std::vector<size_t> Indices;
-  std::map<size_t, const dse::Objectives *> ObjByIndex;
-  Indices.reserve(Points.size());
-  for (const dse::FrontPoint &P : Points) {
-    Indices.push_back(P.Index);
-    ObjByIndex[P.Index] = &P.Obj;
-  }
-  return dse::frontHash(
-      Indices, [&](size_t I) -> const dse::Objectives & {
-        return *ObjByIndex.at(I);
-      });
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -143,22 +125,6 @@ int ClusterCoordinator::pickPending() const {
     if (ShardStates[I].Ph == Phase::Pending)
       return static_cast<int>(I);
   return -1;
-}
-
-int ClusterCoordinator::pickSpeculative(size_t W) const {
-  // One backup runner per shard, never on the worker already running it;
-  // prefer the shard dispatched the fewest times (the likeliest
-  // straggler is the one nobody re-tried yet).
-  int Best = -1;
-  for (size_t I = 0; I != ShardStates.size(); ++I) {
-    const ShardState &S = ShardStates[I];
-    if (S.Ph != Phase::InFlight || S.ActiveRunners != 1 ||
-        S.LastWorker == static_cast<int>(W))
-      continue;
-    if (Best < 0 || S.Dispatches < ShardStates[Best].Dispatches)
-      Best = static_cast<int>(I);
-  }
-  return Best;
 }
 
 bool ClusterCoordinator::anyWorkerAlive() const {
@@ -275,13 +241,10 @@ void ClusterCoordinator::workerLoop(size_t W) {
   static metrics::Counter &ReassignedC =
       metrics::counter("cluster.shard_reassigned");
   static metrics::Counter &DeathsC = metrics::counter("cluster.worker_deaths");
-  static metrics::Counter &DuplicatesC =
-      metrics::counter("cluster.duplicate_completions");
   static metrics::Histogram &ShardMs = metrics::histogram("cluster.shard_ms");
 
   for (;;) {
     int Shard = -1;
-    bool Speculative = false;
     bool Reassigned = false;
     unsigned Attempt = 0;
     {
@@ -292,10 +255,6 @@ void ClusterCoordinator::workerLoop(size_t W) {
         if (WorkerStates[W].Dead)
           return;
         Shard = pickPending();
-        if (Shard < 0 && Opts.Speculate) {
-          Shard = pickSpeculative(W);
-          Speculative = Shard >= 0;
-        }
         if (Shard >= 0)
           break;
         CV.wait_for(Lock, std::chrono::milliseconds(50));
@@ -303,14 +262,11 @@ void ClusterCoordinator::workerLoop(size_t W) {
       ShardState &S = ShardStates[Shard];
       S.Ph = Phase::InFlight;
       ++S.Dispatches;
-      ++S.ActiveRunners;
       Attempt = S.Dispatches;
       Reassigned = S.LastWorker >= 0 && S.LastWorker != static_cast<int>(W);
       S.LastWorker = static_cast<int>(W);
       WorkerStates[W].InFlightShard = Shard;
       ++Stats.Dispatches;
-      if (Speculative)
-        ++Stats.SpeculativeDispatches;
       if (Reassigned)
         ++Stats.Reassignments;
     }
@@ -321,8 +277,7 @@ void ClusterCoordinator::workerLoop(size_t W) {
       eventlog::emit("shard-dispatch", eventlog::Record()
                                            .field("shard", Shard)
                                            .field("worker", W)
-                                           .field("attempt", Attempt)
-                                           .field("speculative", Speculative));
+                                           .field("attempt", Attempt));
       if (Reassigned)
         eventlog::emit("shard-reassign", eventlog::Record()
                                              .field("shard", Shard)
@@ -342,61 +297,35 @@ void ClusterCoordinator::workerLoop(size_t W) {
     ShardMs.recordMs(Ms);
 
     bool WorkerDied = false;
-    bool Duplicate = false;
-    uint64_t FP = 0;
+    size_t NumPoints = Points.size();
     unsigned Backoff = 0;
     {
       std::unique_lock<std::mutex> Lock(M);
+      // This worker is the shard's only runner: no other attempt races
+      // this update.
       ShardState &S = ShardStates[Shard];
-      --S.ActiveRunners;
       WorkerStates[W].InFlightShard = -1;
       if (OK) {
         WorkerStates[W].ConsecutiveFailures = 0;
         ++WorkerStates[W].ShardsDone;
-        FP = fingerprintOf(Points);
-        if (S.Ph == Phase::Done) {
-          // First-wins: a speculative duplicate must be bit-identical to
-          // the recorded completion — shard sweeps are deterministic, so
-          // a fingerprint mismatch means a byzantine or nondeterministic
-          // worker and the run cannot be trusted.
-          Duplicate = true;
-          ++Stats.DuplicateCompletions;
-          if (FP != S.Fingerprint) {
-            ++Stats.FingerprintMismatches;
-            Errors.push_back(
-                "shard " + std::to_string(Shard) +
-                ": duplicate completion fingerprint mismatch (" +
-                dse::hashString(S.Fingerprint) + " vs " +
-                dse::hashString(FP) + " from worker " + std::to_string(W) +
-                ")");
-          }
-        } else {
-          S.Ph = Phase::Done;
-          S.Points = std::move(Points);
-          S.Sweep = std::move(Sweep);
-          S.Fingerprint = FP;
-          ++DoneCount;
-          ++Stats.ShardsDone;
-          CV.notify_all();
-        }
+        S.Ph = Phase::Done;
+        S.Points = std::move(Points);
+        S.Sweep = std::move(Sweep);
+        ++DoneCount;
+        ++Stats.ShardsDone;
+        CV.notify_all();
       } else {
         ++WorkerStates[W].Failures;
         ++WorkerStates[W].ConsecutiveFailures;
         ++Stats.Retries;
-        if (S.Ph != Phase::Done) {
-          if (!Speculative)
-            ++S.FailedAttempts;
-          if (S.ActiveRunners == 0) {
-            S.Ph = Phase::Pending; // Requeue: the next idle worker takes it.
-            if (S.FailedAttempts > Opts.Retry) {
-              Errors.push_back("shard " + std::to_string(Shard) +
-                               " failed after " +
-                               std::to_string(S.FailedAttempts) +
-                               " attempts (retry cap " +
-                               std::to_string(Opts.Retry) + "): " + Err);
-              Aborted = true;
-            }
-          }
+        ++S.FailedAttempts;
+        S.Ph = Phase::Pending; // Requeue: the next idle worker takes it.
+        if (S.FailedAttempts > Opts.Retry) {
+          Errors.push_back("shard " + std::to_string(Shard) + " failed after " +
+                           std::to_string(S.FailedAttempts) +
+                           " attempts (retry cap " +
+                           std::to_string(Opts.Retry) + "): " + Err);
+          Aborted = true;
         }
         if (WorkerStates[W].ConsecutiveFailures >= Opts.WorkerFailureLimit) {
           WorkerStates[W].Dead = true;
@@ -422,10 +351,7 @@ void ClusterCoordinator::workerLoop(size_t W) {
         eventlog::emit("shard-done", eventlog::Record()
                                          .field("shard", Shard)
                                          .field("worker", W)
-                                         .field("points", Points.size())
-                                         .field("fingerprint",
-                                                dse::hashString(FP))
-                                         .field("duplicate", Duplicate)
+                                         .field("points", NumPoints)
                                          .field("ms", Ms));
       } else {
         eventlog::emit("shard-retry", eventlog::Record()
@@ -442,8 +368,6 @@ void ClusterCoordinator::workerLoop(size_t W) {
     }
     if (!OK)
       RetriesC.inc();
-    if (Duplicate)
-      DuplicatesC.inc();
     if (WorkerDied) {
       DeathsC.inc();
       return;
@@ -459,6 +383,13 @@ ClusterResult ClusterCoordinator::run() {
   ClusterResult Result;
   if (Opts.Workers.empty()) {
     Result.Errors.push_back("no workers configured");
+    return Result;
+  }
+  // Every worker would reject the shard requests anyway; failing here
+  // keeps a typo from burning the retry budget and retiring the fleet.
+  if (!dse::parseStrategy(Opts.Strategy)) {
+    Result.Errors.push_back("unknown sweep strategy '" + Opts.Strategy +
+                            "' (" + dse::kStrategyNames + ")");
     return Result;
   }
 
@@ -487,7 +418,7 @@ ClusterResult ClusterCoordinator::run() {
     Result.Errors = Errors;
     Result.Stats = Stats;
 
-    // Merge the winning shards with the dahlia-dse-merge union logic.
+    // Merge the completed shards with the dahlia-dse-merge union logic.
     for (const ShardState &S : ShardStates) {
       if (S.Ph != Phase::Done)
         continue;
@@ -498,7 +429,6 @@ ClusterResult ClusterCoordinator::run() {
         Result.Stats.Accepted += S.Sweep.at("accepted").asInt();
         Result.Stats.Estimated += S.Sweep.at("estimated").asInt();
         Result.Stats.Pruned += S.Sweep.at("pruned").asInt();
-        Result.Stats.Rescued += S.Sweep.at("rescued").asInt();
         Result.Stats.VerdictCacheHits +=
             S.Sweep.at("verdict_cache_hits").asInt();
         Result.Stats.EstimateCacheHits +=
@@ -544,7 +474,6 @@ ClusterResult ClusterCoordinator::run() {
                        .field("retries", Result.Stats.Retries)
                        .field("reassignments", Result.Stats.Reassignments)
                        .field("worker_deaths", Result.Stats.WorkerDeaths)
-                       .field("duplicates", Result.Stats.DuplicateCompletions)
                        .raw("front", dse::indicesToJson(Result.Fronts.Front)
                                          .dump())
                        .field("front_hash", Result.FrontHash));
@@ -589,8 +518,6 @@ Json ClusterCoordinator::statusJson() const {
   J["dispatches"] = Stats.Dispatches;
   J["retries"] = Stats.Retries;
   J["reassignments"] = Stats.Reassignments;
-  J["speculative_dispatches"] = Stats.SpeculativeDispatches;
-  J["duplicate_completions"] = Stats.DuplicateCompletions;
   J["worker_deaths"] = Stats.WorkerDeaths;
   return J;
 }
@@ -770,17 +697,13 @@ Json ClusterResult::toJson() const {
   J["shards"] = Stats.Shards;
   J["shards_done"] = Stats.ShardsDone;
   J["dispatches"] = Stats.Dispatches;
-  J["speculative_dispatches"] = Stats.SpeculativeDispatches;
   J["retries"] = Stats.Retries;
   J["reassignments"] = Stats.Reassignments;
   J["worker_deaths"] = Stats.WorkerDeaths;
-  J["duplicate_completions"] = Stats.DuplicateCompletions;
-  J["fingerprint_mismatches"] = Stats.FingerprintMismatches;
   J["explored"] = Stats.Explored;
   J["accepted"] = Stats.Accepted;
   J["estimated"] = Stats.Estimated;
   J["pruned"] = Stats.Pruned;
-  J["rescued"] = Stats.Rescued;
   J["verdict_cache_hits"] = Stats.VerdictCacheHits;
   J["estimate_cache_hits"] = Stats.EstimateCacheHits;
   J["cache_entries_shipped"] = Stats.CacheEntriesShipped;

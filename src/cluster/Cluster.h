@@ -21,11 +21,8 @@
 ///   * a failed attempt requeues the shard (capped retries with
 ///     exponential backoff); a worker that fails repeatedly is declared
 ///     dead and its shards are reassigned;
-///   * shard sweeps are idempotent, so idle workers may speculatively
-///     re-run in-flight shards of stragglers — duplicate completions
-///     resolve first-wins, cross-checked by the FNV front fingerprint
-///     (a mismatch means a nondeterministic or byzantine worker and
-///     fails the run loudly);
+///   * every shard has at most one runner at a time, so a completion is
+///     final and retry/reassignment alone cover dead and stalled workers;
 ///   * `syncCaches` ships every worker's memo cache to every other
 ///     worker (the `cache-export`/`cache-import` ops), converging a
 ///     fleet to all-hit for the next sweep.
@@ -80,8 +77,8 @@ struct ClusterOptions {
   /// always uses at least 2 shards: sharded sweep responses are the form
   /// that carries mergeable front_points.
   unsigned Shards = 0;
-  /// Max *failed* (non-speculative) attempts per shard before the run
-  /// aborts with a structured error.
+  /// Max failed attempts per shard before the run aborts with a
+  /// structured error.
   unsigned Retry = 3;
   /// Per-attempt receive timeout: a worker that stalls longer fails the
   /// attempt (and eventually dies). <= 0 disables the timeout.
@@ -91,10 +88,6 @@ struct ClusterOptions {
   int RetryBackoffMs = 25;
   /// Consecutive failures after which a worker is declared dead.
   unsigned WorkerFailureLimit = 3;
-  /// Idle workers re-run in-flight shards of stragglers (at most one
-  /// backup runner per shard). Duplicate completions resolve first-wins
-  /// with a fingerprint cross-check.
-  bool Speculate = true;
   /// Strict client decoding (ServiceClient::setStrict): hostile chunk
   /// streams become structured errors, never silent front corruption.
   bool Strict = true;
@@ -111,14 +104,15 @@ struct ClusterOptions {
 /// Aggregate counters of one cluster run.
 struct ClusterStats {
   size_t Workers = 0, Shards = 0, ShardsDone = 0;
-  size_t Dispatches = 0, SpeculativeDispatches = 0;
+  size_t Dispatches = 0;
+  /// Always 0: a shard never has a second runner. Kept for callers that
+  /// still read it.
+  size_t SpeculativeDispatches = 0;
   size_t Retries = 0;         ///< Failed attempts (each emits shard-retry).
   size_t Reassignments = 0;   ///< Dispatches to a different worker than last.
   size_t WorkerDeaths = 0;
-  size_t DuplicateCompletions = 0;
-  size_t FingerprintMismatches = 0;
-  // Sums over the winning shard sweeps.
-  size_t Explored = 0, Accepted = 0, Estimated = 0, Pruned = 0, Rescued = 0;
+  // Sums over the completed shard sweeps.
+  size_t Explored = 0, Accepted = 0, Estimated = 0, Pruned = 0;
   size_t VerdictCacheHits = 0, EstimateCacheHits = 0;
   size_t CacheEntriesShipped = 0; ///< syncCaches total (verdicts+estimates).
   double Seconds = 0;
@@ -130,7 +124,7 @@ struct ClusterStats {
 struct ClusterResult {
   bool Ok = false;
   std::vector<std::string> Errors;
-  /// Union of the winning shards' front points (ascending by index).
+  /// Union of the completed shards' front points (ascending by index).
   std::vector<dse::FrontPoint> Points;
   dse::MergedFronts Fronts;
   std::string FrontHash, AcceptedFrontHash; ///< dse::hashString renderings.
@@ -172,13 +166,11 @@ private:
 
   struct ShardState {
     Phase Ph = Phase::Pending;
-    unsigned FailedAttempts = 0; ///< Non-speculative failures (retry cap).
+    unsigned FailedAttempts = 0; ///< Failed attempts (retry cap).
     unsigned Dispatches = 0;
-    unsigned ActiveRunners = 0;
     int LastWorker = -1;
-    uint64_t Fingerprint = 0;
     std::vector<dse::FrontPoint> Points;
-    Json Sweep; ///< Winning terminal sweep summary (front_points stripped).
+    Json Sweep; ///< Terminal sweep summary (front_points stripped).
   };
 
   struct WorkerState {
@@ -196,11 +188,8 @@ private:
   /// echo mismatch, malformed or out-of-partition front points).
   bool attemptShard(size_t W, unsigned Shard, std::string *Err,
                     std::vector<dse::FrontPoint> *Points, Json *Sweep);
-  /// Lowest-index pending shard still under the retry cap, or -1.
+  /// Lowest-index pending shard, or -1.
   int pickPending() const;
-  /// A speculative target for worker \p W: an in-flight shard with a
-  /// single runner that is not \p W, or -1.
-  int pickSpeculative(size_t W) const;
   bool anyWorkerAlive() const;
 
   ClusterOptions Opts;

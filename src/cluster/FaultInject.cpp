@@ -140,9 +140,6 @@ void FaultyWorker::serveConnection(int Fd, unsigned Serial) {
         OutLines.push_back(E.Resp.toJson().dump());
       }
     }
-    if (Opts.PreReplyDelayMs > 0 &&
-        (Opts.TriggerConnections == 0 || Serial <= Opts.TriggerConnections))
-      interruptibleSleep(Opts.PreReplyDelayMs, Stopping);
     if (!writeLines(Fd, OutLines, Serial))
       break;
   }
@@ -197,18 +194,6 @@ bool FaultyWorker::writeLines(int Fd, const std::vector<std::string> &Lines,
         Injected = true;
         Triggered = false;
         break;
-      case FaultMode::CorruptObjectives: {
-        if (std::optional<Json> J = Json::parse(Line)) {
-          (*J)["front_point"]["latency"] =
-              J->at("front_point").at("latency").asDouble() * 1.5 + 1.0;
-          Os << J->dump() << "\n";
-          ++ChunksSeen;
-          Injected = true;
-          Triggered = false;
-          continue; // corrupted line replaces the honest one
-        }
-        break;
-      }
       case FaultMode::None:
       case FaultMode::Scripted:
       case FaultMode::PrematureEnd:

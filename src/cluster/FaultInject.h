@@ -10,12 +10,12 @@
 /// every reply is computed by a genuine \c CompileService — but mangles
 /// its wire output on demand: it can die mid-stream, stall past the
 /// coordinator's shard timeout, truncate a frame, inject garbage or
-/// duplicate chunks, end a stream before its chunks arrived, or corrupt
-/// a front point's objectives. The cluster integration tests and the
-/// `dahlia-fuzz-proto --cluster` dialect point a \c ClusterCoordinator at
-/// fleets of these to prove the robustness story: every injected fault
-/// must surface as retry/reassign (and ultimately an exact front) or as
-/// a structured error — never a silently wrong front.
+/// duplicate chunks, or end a stream before its chunks arrived. The
+/// cluster integration tests and the `dahlia-fuzz-proto --cluster`
+/// dialect point a \c ClusterCoordinator at fleets of these to prove the
+/// robustness story: every injected fault must surface as retry/reassign
+/// (and ultimately an exact front) or as a structured error — never a
+/// silently wrong front.
 ///
 /// Faults fire on the first \c FaultOptions::TriggerConnections accepted
 /// connections and only on streamed dse-sweep replies (the cluster wire
@@ -45,7 +45,6 @@ enum class FaultMode {
   GarbageChunk,      ///< Inject a non-protocol JSON line mid-stream.
   DuplicateChunk,    ///< Repeat a front_point chunk line.
   PrematureEnd,      ///< Drop the chunk lines, send the terminal anyway.
-  CorruptObjectives, ///< Perturb one front point's latency field.
   Scripted,          ///< Ignore the service; replay Script verbatim.
 };
 
@@ -59,11 +58,6 @@ struct FaultOptions {
   unsigned AfterChunks = 2;
   /// Stall duration; set it past the coordinator's ShardTimeoutMs.
   int StallMs = 30000;
-  /// Delay between computing an epoch's replies and writing them, on
-  /// triggered connections (any mode, including None). Lets a test make
-  /// this worker deterministically lose the completion race, e.g. to
-  /// force a duplicate completion against CorruptObjectives.
-  int PreReplyDelayMs = 0;
   /// Scripted replies: raw lines written (with newlines) per connection
   /// after one request epoch was read, regardless of its content.
   std::vector<std::string> Script;

@@ -261,7 +261,6 @@ DseResult DseEngine::explore(const DseProblem &P) const {
     Threads = static_cast<unsigned>(std::max<size_t>(Ctx.Indices.size(), 1));
   Ctx.Threads = Threads;
   Ctx.Grain = std::max<size_t>(Opts.GrainSize, 1);
-  Ctx.HalvingEta = Opts.HalvingEta;
   Ctx.ExactTopRung = Opts.ExactTopRung;
 
   Ctx.Cache = Opts.Cache;
@@ -283,7 +282,6 @@ DseResult DseEngine::explore(const DseProblem &P) const {
                        .field("shard_count", Opts.Shard.Count)
                        .field("strategy", strategyName(Opts.Strategy))
                        .field("threads", Threads)
-                       .field("eta", Opts.HalvingEta)
                        .field("exact_top_rung", Opts.ExactTopRung)
                        .field("estimate_rejected", P.EstimateRejected));
     for (size_t I : Ctx.Indices)
@@ -313,7 +311,6 @@ DseResult DseEngine::explore(const DseProblem &P) const {
             .field("estimated", R.Stats.Estimated)
             .field("low_fidelity_estimates", R.Stats.LowFidelityEstimates)
             .field("pruned", R.Stats.Pruned)
-            .field("rescued", R.Stats.Rescued)
             .field("exact_estimates", R.Stats.ExactEstimates)
             .field("estimate_cache_hits", R.Stats.EstimateCacheHits)
             .field("verdict_cache_hits", R.Stats.VerdictCacheHits)
@@ -324,12 +321,10 @@ DseResult DseEngine::explore(const DseProblem &P) const {
   static metrics::Counter &Explored = metrics::counter("dse.configs_explored");
   static metrics::Counter &Accepted = metrics::counter("dse.configs_accepted");
   static metrics::Counter &Pruned = metrics::counter("dse.configs_pruned");
-  static metrics::Counter &Rescued = metrics::counter("dse.configs_rescued");
   static metrics::Gauge &Rate = metrics::gauge("dse.configs_per_sec");
   Explored.inc(R.Stats.Explored);
   Accepted.inc(R.Stats.Accepted);
   Pruned.inc(R.Stats.Pruned);
-  Rescued.inc(R.Stats.Rescued);
   Rate.set(static_cast<int64_t>(R.Stats.configsPerSecond()));
   return R;
 }

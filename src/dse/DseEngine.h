@@ -157,20 +157,17 @@ enum class StrategyKind {
   /// Type-check and fully estimate every configuration (the Figure 7
   /// methodology; the engine's original behavior).
   Exhaustive,
-  /// Successive halving: rank everything on cheap lower-bound estimates,
-  /// promote the top 1/eta per rung, fully estimate only the final
-  /// survivors, then rescue any config whose bound is not provably
-  /// dominated — the front is guaranteed identical to Exhaustive's.
-  Halving,
   /// Skip full estimation of every config whose lower bound is strictly
   /// dominated by an already-estimated point (exact under the monotone
-  /// fidelity ladder; same front guarantee).
+  /// fidelity ladder: the front is guaranteed identical to Exhaustive's).
   ParetoPrune,
 };
 
 const char *strategyName(StrategyKind K);
-/// Parses "exhaustive" / "halving" / "pareto-prune".
+/// Parses "exhaustive" / "pareto-prune".
 std::optional<StrategyKind> parseStrategy(std::string_view Name);
+/// The accepted strategy names, for unknown-strategy error messages.
+constexpr const char *kStrategyNames = "exhaustive, pareto-prune";
 
 /// One shard of a multi-process sweep: this process explores only the
 /// configurations \c StableHash assigns to \c Index of \c Count.
@@ -188,9 +185,10 @@ std::optional<ShardSpec> parseShard(std::string_view Spec);
 
 /// One progress observation of a running exploration, delivered through
 /// DseOptions::OnProgress and journaled as `progress` events. Phases are
-/// strategy steps ("check", "bound-coarse", "full", "rescue", ...);
-/// Done/Total/EtaSeconds are phase-relative — pruned strategies cannot
-/// know the rescue workload up front, so whole-sweep ETAs would lie.
+/// strategy steps ("check", "bound-coarse", "walk", "exact", ...);
+/// Done/Total/EtaSeconds are phase-relative — the pruned strategy cannot
+/// know its full-estimate workload up front, so whole-sweep ETAs would
+/// lie.
 struct DseProgress {
   const char *Phase = "";
   size_t Done = 0;          ///< work items finished in this phase
@@ -249,8 +247,6 @@ struct DseOptions {
   std::shared_ptr<DseCache> Cache;
   /// Search strategy (see StrategyKind).
   StrategyKind Strategy = StrategyKind::Exhaustive;
-  /// Halving keep fraction: each rung promotes ceil(n / Eta) survivors.
-  unsigned HalvingEta = 4;
   /// Shard of the space this run explores (whole space by default).
   ShardSpec Shard;
   /// Re-rank the front on the cycle-level simulator (hlsim
@@ -291,18 +287,15 @@ struct DseStats {
   size_t Explored = 0;
   size_t Accepted = 0;
   /// Configurations carrying FULL-fidelity objectives (pruned strategies
-  /// evaluate fewer than Explored; this is the number the halving
+  /// evaluate fewer than Explored; this is the number the pruned
   /// acceptance bound is measured on).
   size_t Estimated = 0;
-  /// Lower-fidelity (Coarse/Medium) estimator evaluations performed by
-  /// the rung ladder.
+  /// Lower-fidelity (Coarse/Medium) bound evaluations performed by the
+  /// pruned strategy.
   size_t LowFidelityEstimates = 0;
   /// Configurations skipped as provably dominated (bound strictly
   /// dominated by an estimated point's actual objectives).
   size_t Pruned = 0;
-  /// Halving: configs outside the rung survivors promoted to full
-  /// fidelity by the admissible-bound safety net.
-  size_t Rescued = 0;
   /// Exact-top-rung: configurations promoted to a cycle-level simulation
   /// (the acceptance bound measures this against the space size).
   size_t ExactEstimates = 0;

@@ -100,10 +100,9 @@ Json SearchJournal::funnel(size_t Sweep) const {
     return F;
   const SweepRange &R = Sweeps[Sweep];
   size_t Verdicts = 0, VerdictHits = 0, Accepted = 0;
-  size_t Pruned = 0, Rescued = 0, Enumerated = 0;
+  size_t Pruned = 0, Enumerated = 0;
   std::map<std::string, std::pair<size_t, size_t>> Est; // fid -> {n, hits}
   std::map<std::string, size_t> PrunedBy;               // bound fid -> n
-  Json Rungs = Json::array();
   for (size_t I = R.Begin; I <= R.End; ++I) {
     const Event &E = Events[I];
     if (E.Kind == "sweep-begin") {
@@ -124,13 +123,9 @@ Json SearchJournal::funnel(size_t Sweep) const {
       ++P.first;
       if (E.Fields.at("cache_hit").asBool())
         ++P.second;
-    } else if (E.Kind == "rung") {
-      Rungs.push_back(payload(E));
     } else if (E.Kind == "prune") {
       ++Pruned;
       ++PrunedBy[E.Fields.at("bound_fidelity").asString()];
-    } else if (E.Kind == "rescue") {
-      ++Rescued;
     } else if (E.Kind == "sweep-end") {
       F["front_size"] = E.Fields.at("front").size();
       F["accepted_front_size"] = E.Fields.at("accepted_front").size();
@@ -151,7 +146,6 @@ Json SearchJournal::funnel(size_t Sweep) const {
     EstJ[Fid] = One;
   }
   F["estimates"] = EstJ;
-  F["rungs"] = Rungs;
   Json PJ = Json::object();
   PJ["total"] = Pruned;
   Json By = Json::object();
@@ -159,7 +153,6 @@ Json SearchJournal::funnel(size_t Sweep) const {
     By[Fid] = N;
   PJ["by_bound_fidelity"] = By;
   F["pruned"] = PJ;
-  F["rescued"] = Rescued;
   return F;
 }
 
@@ -401,7 +394,7 @@ std::vector<std::string> SearchJournal::checkConsistent() const {
   if (Events.front().Kind != "journal-begin")
     Fail("first event is '" + Events.front().Kind +
          "', expected journal-begin");
-  else if (Schema != 1)
+  else if (Schema != 1 && Schema != 2)
     Fail("unsupported schema version " + std::to_string(Schema));
   if (Events.back().Kind != "journal-end")
     Fail("last event is '" + Events.back().Kind +

@@ -9,7 +9,7 @@
 /// Reader and analysis queries over the JSONL search journal written by
 /// \c eventlog (support/EventLog.h) during a DSE sweep. This is the
 /// library behind `dahlia-dse-report`: it answers "why was configuration
-/// N pruned?", renders the successive-halving rung funnel, breaks down
+/// N pruned?", renders the search funnel, breaks down
 /// cache-hit provenance, reconstructs the Pareto-front evolution
 /// timeline, exports a Chrome trace, and machine-checks the journal's
 /// internal consistency (the `--assert-consistent` CI gate).
@@ -67,10 +67,9 @@ public:
   /// it.
   size_t sweepCount() const { return Sweeps.size(); }
 
-  /// Rung funnel + phase counts for sweep \p Sweep: space/strategy,
-  /// verdict and per-fidelity estimate totals (with cache hits), rung
-  /// survival rows, prune counts by bound fidelity, rescues, and the
-  /// final front size.
+  /// Funnel + phase counts for sweep \p Sweep: space/strategy, verdict
+  /// and per-fidelity estimate totals (with cache hits), prune counts by
+  /// bound fidelity, and the final front size.
   Json funnel(size_t Sweep) const;
 
   /// Cache-hit provenance for sweep \p Sweep: verdict hits/misses and

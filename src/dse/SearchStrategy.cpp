@@ -32,8 +32,6 @@ const char *dahlia::dse::strategyName(StrategyKind K) {
   switch (K) {
   case StrategyKind::Exhaustive:
     return "exhaustive";
-  case StrategyKind::Halving:
-    return "halving";
   case StrategyKind::ParetoPrune:
     return "pareto-prune";
   }
@@ -43,8 +41,6 @@ const char *dahlia::dse::strategyName(StrategyKind K) {
 std::optional<StrategyKind> dahlia::dse::parseStrategy(std::string_view Name) {
   if (Name == "exhaustive" || Name.empty())
     return StrategyKind::Exhaustive;
-  if (Name == "halving" || Name == "successive-halving")
-    return StrategyKind::Halving;
   if (Name == "pareto-prune" || Name == "prune")
     return StrategyKind::ParetoPrune;
   return std::nullopt;
@@ -291,8 +287,7 @@ std::vector<size_t> rankByBound(const std::vector<size_t> &Pos,
 /// Re-ranks front membership on hlsim Fidelity::Exact (the cycle-level
 /// simulator). Every Full-estimated config's Full objectives are an
 /// admissible lower bound of its Exact point (the fidelity ladder's top
-/// step), so the pass mirrors the pruned strategies' rescue logic one
-/// rung up:
+/// step), so the pass mirrors pareto-prune's walk one rung up:
 ///
 ///   1. the strategy's Full-fidelity front members (overall + accepted)
 ///      are simulated in parallel;
@@ -304,8 +299,8 @@ std::vector<size_t> rankByBound(const std::vector<size_t> &Pos,
 ///
 /// With the Exhaustive strategy (everything Full-estimated) the result is
 /// therefore exactly the front an all-Exact sweep of the whole space
-/// computes. Under pruned strategies it is exact over their Full-rung
-/// survivor set, which already provably contains the Full-fidelity front.
+/// computes. Under pareto-prune it is exact over the Full-estimated set,
+/// which already provably contains the Full-fidelity front.
 void exactTopRungPass(const SearchContext &Ctx, DseResult &R) {
   TRACE_SPAN("dse.exact_top_rung");
   std::vector<size_t> Cand;     ///< Full-estimated configs, ascending.
@@ -343,7 +338,7 @@ void exactTopRungPass(const SearchContext &Ctx, DseResult &R) {
       insertLogged(Acc, "accepted", I, R.Points[I].Obj);
   }
 
-  // Rescue walk in bound-score order (decisions stay valid as the fronts
+  // Walk the rest in bound-score order (decisions stay valid as the fronts
   // evolve — a member can only be displaced by a dominating point, which
   // then dominates the same bounds).
   std::vector<size_t> Rest;
@@ -450,31 +445,32 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// Pruned strategies (shared core)
+// ParetoPruneStrategy — dominance pruning on admissible bounds
 //===----------------------------------------------------------------------===//
 
-/// The shared pruned-search core. Both pruned strategies:
+/// The pruned search:
 ///
 ///   1. type-check everything (verdicts are needed for Stats.Accepted and
 ///      to protect the accepted-only front);
 ///   2. compute Coarse lower bounds for every estimation candidate;
-///   3. (halving only) promote the top 1/eta by bound score, tighten the
-///      survivors' bounds at Medium fidelity, promote the top 1/eta again,
-///      and fully estimate that final rung in parallel;
-///   4. walk the remaining candidates in bound-score order: skip a config
-///      iff its bound is strictly dominated by an estimated point's
-///      actual objectives *in every front it could join*; otherwise fully
+///   3. walk the candidates in bound-score order: skip a config iff its
+///      bound is strictly dominated by an estimated point's actual
+///      objectives *in every front it could join*; otherwise fully
 ///      estimate it and fold it in.
 ///
-/// Step 4's skip test is exact (never drops a front member) because the
+/// Step 3's skip test is exact (never drops a front member) because the
 /// fidelity ladder makes every bound admissible; see SearchStrategy.h.
-void runPruned(const SearchContext &Ctx, DseResult &R, bool Rungs) {
-  TRACE_SPAN(Rungs ? "dse.halving" : "dse.pareto_prune");
-  static metrics::Counter &HalvingRuns =
-      metrics::counter("dse.halving.runs");
+class ParetoPruneStrategy final : public SearchStrategy {
+public:
+  StrategyKind kind() const override { return StrategyKind::ParetoPrune; }
+  void run(const SearchContext &Ctx, DseResult &R) const override;
+};
+
+void ParetoPruneStrategy::run(const SearchContext &Ctx, DseResult &R) const {
+  TRACE_SPAN("dse.pareto_prune");
   static metrics::Counter &PruneRuns =
       metrics::counter("dse.pareto_prune.runs");
-  (Rungs ? HalvingRuns : PruneRuns).inc();
+  PruneRuns.inc();
   const DseProblem &P = Ctx.Problem;
   checkVerdicts(Ctx, R);
 
@@ -486,100 +482,22 @@ void runPruned(const SearchContext &Ctx, DseResult &R, bool Rungs) {
     if (R.Points[I].Accepted || P.EstimateRejected)
       Cand.push_back(I);
 
-  // Rung 0: Coarse bounds for the whole candidate set.
+  // Coarse bounds for the whole candidate set.
   std::vector<Objectives> Bound =
       boundBatch(Ctx, Cand, hlsim::Fidelity::Coarse);
   std::vector<hlsim::Fidelity> BoundFid(Cand.size(),
                                         hlsim::Fidelity::Coarse);
   R.Stats.LowFidelityEstimates += Cand.size();
 
+  // Ordered prune walk. Processing in bound-score order builds the front
+  // up fast, so most later configs are pruned by the skip test. Decisions
+  // stay valid as the fronts evolve: a member can only be displaced by a
+  // point that dominates it, which then strictly dominates the same
+  // bounds the member pruned.
   std::vector<size_t> AllPos(Cand.size());
   for (size_t K = 0; K != AllPos.size(); ++K)
     AllPos[K] = K;
-
-  std::vector<char> Survivor(Cand.size(), 0);
-  if (Rungs && !Cand.empty()) {
-    unsigned Eta = std::max(Ctx.HalvingEta, 2u);
-    // Rung 1: keep ceil(n/eta), tighten their bounds at Medium fidelity.
-    std::vector<size_t> Order = rankByBound(AllPos, Bound);
-    size_t Keep1 = (Cand.size() + Eta - 1) / Eta;
-    std::vector<size_t> Rung1(Order.begin(), Order.begin() + Keep1);
-    std::vector<size_t> Rung1Idx(Rung1.size());
-    for (size_t K = 0; K != Rung1.size(); ++K)
-      Rung1Idx[K] = Cand[Rung1[K]];
-    std::vector<Objectives> Med =
-        boundBatch(Ctx, Rung1Idx, hlsim::Fidelity::Medium);
-    R.Stats.LowFidelityEstimates += Rung1Idx.size();
-    for (size_t K = 0; K != Rung1.size(); ++K) {
-      Bound[Rung1[K]] = Med[K];
-      BoundFid[Rung1[K]] = hlsim::Fidelity::Medium;
-    }
-    // Rung 2: keep ceil(keep1/eta) of the survivors — the set promoted to
-    // full fidelity up front.
-    std::vector<size_t> Order2 = rankByBound(Rung1, Bound);
-    size_t Keep2 = (Keep1 + Eta - 1) / Eta;
-    for (size_t K = 0; K != std::min(Keep2, Order2.size()); ++K)
-      Survivor[Order2[K]] = 1;
-    static metrics::Gauge &GKeep1 = metrics::gauge("dse.rung.keep1");
-    static metrics::Gauge &GKeep2 = metrics::gauge("dse.rung.keep2");
-    GKeep1.set(static_cast<int64_t>(Keep1));
-    GKeep2.set(static_cast<int64_t>(Keep2));
-    if (eventlog::enabled()) {
-      // Per-rung survival counts (the funnel), then each promotion.
-      eventlog::emit("rung", eventlog::Record()
-                                 .field("rung", 1)
-                                 .field("candidates", Cand.size())
-                                 .field("kept", Keep1)
-                                 .field("bound_fidelity", "medium"));
-      eventlog::emit("rung", eventlog::Record()
-                                 .field("rung", 2)
-                                 .field("candidates", Keep1)
-                                 .field("kept", std::min(Keep2, Order2.size()))
-                                 .field("bound_fidelity", "full"));
-      for (size_t K = 0; K != Rung1.size(); ++K)
-        eventlog::emit("rung-promote", eventlog::Record()
-                                           .field("config", Cand[Rung1[K]])
-                                           .field("rung", 1));
-      for (size_t K = 0; K != std::min(Keep2, Order2.size()); ++K)
-        eventlog::emit("rung-promote", eventlog::Record()
-                                           .field("config", Cand[Order2[K]])
-                                           .field("rung", 2));
-    }
-  }
-  static metrics::Gauge &GCand = metrics::gauge("dse.rung.candidates");
-  GCand.set(static_cast<int64_t>(Cand.size()));
-
-  // Full estimates for the promoted set (parallel), then seed the fronts.
-  std::vector<size_t> Promoted;
-  for (size_t K = 0; K != Cand.size(); ++K)
-    if (Survivor[K])
-      Promoted.push_back(Cand[K]);
-  if (Ctx.Progress)
-    Ctx.Progress->beginPhase("full", Promoted.size());
-  parallelOver(Ctx, Promoted.size(), [&](unsigned, size_t B, size_t E) {
-    for (size_t K = B; K != E; ++K)
-      recordFull(Ctx, R, Promoted[K]);
-  });
-  R.Stats.Estimated += Promoted.size();
-  static metrics::Gauge &GPromoted = metrics::gauge("dse.rung.promoted");
-  GPromoted.set(static_cast<int64_t>(Promoted.size()));
-
   ParetoFront All, Acc;
-  for (size_t I : Promoted) {
-    insertLogged(All, "all", I, R.Points[I].Obj);
-    if (R.Points[I].Accepted)
-      insertLogged(Acc, "accepted", I, R.Points[I].Obj);
-  }
-
-  // Ordered prune/rescue pass over everything not promoted. Processing in
-  // bound-score order builds the front up fast, so most later configs are
-  // pruned by the skip test. Decisions stay valid as the fronts evolve:
-  // a member can only be displaced by a point that dominates it, which
-  // then strictly dominates the same bounds the member pruned.
-  std::vector<size_t> Rest;
-  for (size_t K = 0; K != Cand.size(); ++K)
-    if (!Survivor[K])
-      Rest.push_back(K);
   auto ProvablyDominated = [&](size_t Pos, bool IsAccepted) {
     return All.dominatesPoint(Bound[Pos]) &&
            (!IsAccepted || Acc.dominatesPoint(Bound[Pos]));
@@ -599,8 +517,8 @@ void runPruned(const SearchContext &Ctx, DseResult &R, bool Rungs) {
                                 hlsim::fidelityName(BoundFid[Pos])));
   };
   if (Ctx.Progress)
-    Ctx.Progress->beginPhase(Rungs ? "rescue" : "walk", Rest.size());
-  for (size_t Pos : rankByBound(Rest, Bound)) {
+    Ctx.Progress->beginPhase("walk", Cand.size());
+  for (size_t Pos : rankByBound(AllPos, Bound)) {
     size_t I = Cand[Pos];
     bool IsAccepted = R.Points[I].Accepted;
     if (ProgressSink *PS = Ctx.Progress) {
@@ -629,11 +547,6 @@ void runPruned(const SearchContext &Ctx, DseResult &R, bool Rungs) {
     }
     recordFull(Ctx, R, I);
     ++R.Stats.Estimated;
-    if (Rungs) {
-      ++R.Stats.Rescued;
-      if (eventlog::enabled())
-        eventlog::emit("rescue", eventlog::Record().field("config", I));
-    }
     insertLogged(All, "all", I, R.Points[I].Obj);
     if (IsAccepted)
       insertLogged(Acc, "accepted", I, R.Points[I].Obj);
@@ -646,30 +559,12 @@ void runPruned(const SearchContext &Ctx, DseResult &R, bool Rungs) {
     exactTopRungPass(Ctx, R);
 }
 
-class SuccessiveHalvingStrategy final : public SearchStrategy {
-public:
-  StrategyKind kind() const override { return StrategyKind::Halving; }
-  void run(const SearchContext &Ctx, DseResult &R) const override {
-    runPruned(Ctx, R, /*Rungs=*/true);
-  }
-};
-
-class ParetoPruneStrategy final : public SearchStrategy {
-public:
-  StrategyKind kind() const override { return StrategyKind::ParetoPrune; }
-  void run(const SearchContext &Ctx, DseResult &R) const override {
-    runPruned(Ctx, R, /*Rungs=*/false);
-  }
-};
-
 } // namespace
 
 std::unique_ptr<SearchStrategy> dahlia::dse::makeStrategy(StrategyKind K) {
   switch (K) {
   case StrategyKind::Exhaustive:
     return std::make_unique<ExhaustiveStrategy>();
-  case StrategyKind::Halving:
-    return std::make_unique<SuccessiveHalvingStrategy>();
   case StrategyKind::ParetoPrune:
     return std::make_unique<ParetoPruneStrategy>();
   }

@@ -12,21 +12,18 @@
 /// disjoint hash-partitions of one space and merge their partial Pareto
 /// fronts back into exactly the front a single process would compute.
 ///
-/// All three strategies produce IDENTICAL front membership:
+/// Both strategies produce IDENTICAL front membership:
 ///
 ///   * \c ExhaustiveStrategy fully estimates every configuration (the
-///     engine's original behavior);
-///   * \c SuccessiveHalvingStrategy ranks the space on cheap
-///     lower-bound estimates (hlsim Fidelity::Coarse, then ::Medium),
-///     promotes the top 1/eta per rung, fully estimates the survivors,
-///     and then *rescues* every dropped configuration whose bound is not
-///     strictly dominated by an estimated point — so no true Pareto
-///     member can be lost, no matter how wrong the ranking was;
+///     engine's original behavior, and the oracle the pruned search is
+///     checked against);
 ///   * \c ParetoPruneStrategy walks configs in bound order and skips a
-///     full estimate whenever the config's lower bound is strictly
-///     dominated by an already-estimated point's actual objectives.
+///     full estimate whenever the config's lower bound (hlsim
+///     Fidelity::Coarse, tightened to ::Medium before paying for ::Full)
+///     is strictly dominated by an already-estimated point's actual
+///     objectives.
 ///
-/// The exactness argument, shared by both pruned strategies: the fidelity
+/// The exactness argument for the pruned strategy: the fidelity
 /// ladder guarantees bound(c) <= full(c) component-wise. If some
 /// estimated point m has full(m) strictly dominating bound(c), then
 /// full(m) also strictly dominates full(c), so c is not on the front and
@@ -56,7 +53,6 @@ struct SearchContext {
   std::shared_ptr<DseCache> Cache;
   unsigned Threads = 1;
   size_t Grain = 32;
-  unsigned HalvingEta = 4;
   /// Promote the front to cycle-level (Exact) estimates; see
   /// DseOptions::ExactTopRung.
   bool ExactTopRung = false;

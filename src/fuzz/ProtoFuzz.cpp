@@ -441,6 +441,7 @@ ProtoFuzzReport dahlia::fuzz::runProtoFuzz(const ProtoFuzzOptions &O) {
   // liveness property is that no hostile traffic disturbs them.
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Batches{0};
+  std::atomic<int> FirstBatchDone{0};
   std::vector<std::thread> Good;
   std::vector<std::string> GoodFail(
       static_cast<size_t>(std::max(0, O.WellBehaved)));
@@ -449,8 +450,10 @@ ProtoFuzzReport dahlia::fuzz::runProtoFuzz(const ProtoFuzzOptions &O) {
       int Fd = connectLoopback(Srv.port());
       if (Fd < 0) {
         GoodFail[T] = "connect failed";
+        FirstBatchDone.fetch_add(1);
         return;
       }
+      bool FirstDone = false;
       {
         FdStreamBuf Buf(Fd);
         std::istream In(&Buf);
@@ -475,10 +478,19 @@ ProtoFuzzReport dahlia::fuzz::runProtoFuzz(const ProtoFuzzOptions &O) {
             GoodFail[T] = "estimate broke: " + Rs[1].Raw.dump();
           else
             Batches.fetch_add(1, std::memory_order_relaxed);
+          if (!FirstDone) {
+            FirstDone = true;
+            FirstBatchDone.fetch_add(1);
+          }
         }
       }
       closeFd(Fd);
     });
+
+  // Hostile rounds start once every client has a first batch in, so a
+  // client the scheduler starts late cannot miss a short soak entirely.
+  for (int Ms = 0; Ms < 10000 && FirstBatchDone.load() < O.WellBehaved; ++Ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   Soak S{O, R, Srv.port()};
   for (int Round = 0; Round < O.Rounds; ++Round)

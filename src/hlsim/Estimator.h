@@ -120,11 +120,11 @@ Estimate estimate(const KernelSpec &K, const CostModel &CM = CostModel());
 // Estimation fidelity ladder
 //===----------------------------------------------------------------------===//
 //
-// Pruned search (successive halving, dominance pruning) evaluates most of
-// a design space at a cheap fidelity and promotes only survivors to the
-// full model. The ladder is constructed so that every objective the DSE
-// minimizes (cycles, LUT, FF, BRAM, DSP) is a component-wise LOWER BOUND
-// of the same objective one fidelity up:
+// Pruned search (dominance pruning) evaluates most of a design space at a
+// cheap fidelity and promotes only survivors to the full model. The
+// ladder is constructed so that every objective the DSE minimizes
+// (cycles, LUT, FF, BRAM, DSP) is a component-wise LOWER BOUND of the
+// same objective one fidelity up:
 //
 //   * Coarse drops the bank-indirection mux/arbitration LUTs (>= 0) and
 //     the port-conflict II scan (II >= 1), skipping the expensive
@@ -162,7 +162,7 @@ CostModel costModelFor(Fidelity F);
 Estimate estimateAt(const KernelSpec &K, Fidelity F);
 
 /// Memo-cache key for an estimate of spec hash \p SpecHash at fidelity
-/// \p F. The fidelity is folded into the key so successive-halving rungs
+/// \p F. The fidelity is folded into the key so the rungs of the ladder
 /// can never serve each other stale estimates — a Coarse entry is
 /// invisible to a Full lookup and vice versa (every fidelity, Full
 /// included, lives in its own keyspace).

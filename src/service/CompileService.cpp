@@ -514,7 +514,7 @@ Response CompileService::dseSweep(const Request &R) {
   if (!Strategy) {
     Out.Errors.push_back(Error(ErrorKind::Internal,
                                "unknown sweep strategy '" + R.Strategy +
-                                   "' (exhaustive, halving, pareto-prune)"));
+                                   "' (" + dse::kStrategyNames + ")"));
     return Out;
   }
   dse::ShardSpec Shard;
@@ -584,7 +584,6 @@ Response CompileService::dseSweep(const Request &R) {
   Sweep["estimated"] = DR.Stats.Estimated;
   Sweep["low_fidelity_estimates"] = DR.Stats.LowFidelityEstimates;
   Sweep["pruned"] = DR.Stats.Pruned;
-  Sweep["rescued"] = DR.Stats.Rescued;
   Sweep["exact_top_rung"] = R.ExactTopRung;
   Sweep["exact_estimates"] = DR.Stats.ExactEstimates;
   Sweep["pareto_points"] = DR.Front.size();

@@ -17,7 +17,7 @@
 ///   {"id":3,"op":"lower","source":"..."}
 ///   {"id":4,"op":"dse-sweep","space":"gemm-blocked","limit":2000}
 ///   {"id":7,"op":"dse-sweep","space":"gemm-blocked",
-///    "strategy":"halving","shard":"0/3"}                  // pruned shard
+///    "strategy":"pareto-prune","shard":"0/3"}             // pruned shard
 ///   {"id":5,"op":"check","session":"s1","source":"..."}       // parse+cache
 ///   {"id":6,"op":"check","session":"s1",
 ///    "rewrite":{"banks":{"A":[2,4]},"unrolls":{"i":4}}}       // re-check
@@ -114,7 +114,7 @@ struct Request {
   std::string Space;   ///< "gemm-blocked", "stencil2d", "md-knn", "md-grid".
   size_t Limit = 0;    ///< Truncate the space (0 = full).
   unsigned Threads = 0;
-  /// Search strategy: "exhaustive" (default), "halving", "pareto-prune".
+  /// Search strategy: "exhaustive" (default) or "pareto-prune".
   std::string Strategy;
   /// Shard of the space as "i/N" (whole space when empty). Sharded sweep
   /// responses carry the partial front's points so clients can merge

@@ -8,8 +8,8 @@
 /// \file
 /// The DSE flight recorder: an append-only, schema-versioned JSONL
 /// journal of search events. Every layer of the exploration stack emits
-/// per-config lifecycle records through it — enumerated, rung
-/// promotion, estimates at each fidelity (with cache provenance),
+/// per-config lifecycle records through it — enumerated, verdicts,
+/// estimates at each fidelity (with cache provenance),
 /// prunes with machine-readable reasons, Pareto-front entries and
 /// evictions — and `dahlia-dse-report` replays the file to answer
 /// "why was config X pruned" or "how did the front evolve" without
@@ -58,8 +58,10 @@ namespace dahlia::eventlog {
 /// Journal format version, stamped into every `journal-begin` record.
 /// Bump when an event kind changes meaning or a field is removed;
 /// adding fields or kinds is backward compatible by construction
-/// (consumers skip unknown keys and kinds).
-constexpr int kSchemaVersion = 1;
+/// (consumers skip unknown keys and kinds). Version 2 removed the
+/// successive-halving kinds and the speculation fields of the cluster
+/// kinds; readers accept both.
+constexpr int kSchemaVersion = 2;
 
 /// Global runtime switch. Read with a relaxed load at every emission
 /// site; flipped by journalStart*/journalStop.

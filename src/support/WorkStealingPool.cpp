@@ -88,14 +88,11 @@ void dahlia::workStealingFor(
     }
   };
 
-  if (Threads <= 1) {
-    WorkerMain(0);
-    return;
-  }
   std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (unsigned W = 0; W != Threads; ++W)
+  Pool.reserve(Threads - 1);
+  for (unsigned W = 1; W < Threads; ++W)
     Pool.emplace_back(WorkerMain, W);
+  WorkerMain(0);
   for (std::thread &T : Pool)
     T.join();
 }

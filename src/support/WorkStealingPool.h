@@ -26,8 +26,9 @@ namespace dahlia {
 /// Runs \p Range(Worker, Begin, End) over contiguous chunks covering
 /// [0, Size) exactly once, on \p Threads workers (clamped to at least 1;
 /// also clamped to Size so no worker starts empty when Size < Threads).
-/// Worker 0 runs on the calling thread when Threads == 1. \p Grain is the
-/// number of indices taken from the owner's deque per grab.
+/// Worker 0 always runs on the calling thread (DSE progress ticks rely on
+/// it: they must fire on the thread that called the sweep). \p Grain is
+/// the number of indices taken from the owner's deque per grab.
 ///
 /// \p Range must be safe to call concurrently from distinct workers; each
 /// index is delivered to exactly one call.

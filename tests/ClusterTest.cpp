@@ -9,9 +9,8 @@
 // counts, and under injected faults (a worker killed mid-stream, a
 // worker stalled past the shard timeout, truncated frames, hostile chunk
 // streams). Faults must surface as retry/reassign/worker-dead journal
-// records and still converge to the exact front; a duplicate completion
-// whose fingerprint disagrees must fail the run loudly. Cache syncing
-// converges a fleet to all-hit.
+// records and still converge to the exact front. A healthy fleet runs
+// every shard exactly once. Cache syncing converges a fleet to all-hit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -161,6 +160,21 @@ TEST(ClusterConfig, StatusSnapshotShape) {
   EXPECT_EQ(S.at("shard_phases").at("done").asInt(), 0);
   ASSERT_EQ(S.at("workers").size(), 2u);
   EXPECT_FALSE(S.at("workers").asArray()[0].at("dead").asBool());
+  EXPECT_FALSE(S.contains("speculative_dispatches"));
+}
+
+TEST(ClusterConfig, UnknownStrategyFailsBeforeDispatch) {
+  ClusterOptions O = baseOptions(100);
+  WorkerSpec W;
+  W.Port = 1; // Never dialed: the strategy is rejected first.
+  O.Workers = {W};
+  O.Strategy = "halving";
+  ClusterResult R = ClusterCoordinator(std::move(O)).run();
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Stats.Dispatches, 0u);
+  ASSERT_EQ(R.Errors.size(), 1u);
+  EXPECT_EQ(R.Errors.front(),
+            "unknown sweep strategy 'halving' (exhaustive, pareto-prune)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -191,7 +205,10 @@ TEST(Cluster, FrontMatchesSingleMachineAcrossWorkerAndShardCounts) {
     expectMatchesReference(R, Ref);
     EXPECT_EQ(R.Stats.ShardsDone, TC.Shards);
     EXPECT_EQ(R.Stats.WorkerDeaths, 0u);
-    EXPECT_EQ(R.Stats.FingerprintMismatches, 0u);
+    // On a healthy fleet each shard runs exactly once.
+    EXPECT_EQ(R.Stats.Dispatches, R.Stats.Shards);
+    EXPECT_EQ(R.Stats.Retries, 0u);
+    EXPECT_EQ(R.Stats.SpeculativeDispatches, 0u);
   }
 }
 
@@ -206,27 +223,37 @@ TEST(Cluster, WorkerKilledMidStreamIsRetiredAndSweepStaysExact) {
   constexpr size_t Limit = 200;
   Json Ref = singleMachineSweep(Limit);
 
-  Fleet Honest;
-  ASSERT_TRUE(Honest.add(1));
+  service::ServiceOptions SO;
+  SO.Threads = 2;
+  // The honest worker pauses well under the shard timeout in every
+  // reply, so it cannot drain the queue before the killer has failed
+  // WorkerFailureLimit consecutive attempts and been retired.
+  FaultOptions SlowFO;
+  SlowFO.Mode = FaultMode::Stall;
+  SlowFO.TriggerConnections = 0;
+  SlowFO.AfterChunks = 0;
+  SlowFO.StallMs = 250;
+  FaultyWorker Honest(SlowFO, SO);
+  ASSERT_TRUE(Honest.start());
   FaultOptions FO;
   FO.Mode = FaultMode::KillMidStream;
   FO.TriggerConnections = 0; // every sweep dies mid-stream
   FO.AfterChunks = 1;
-  service::ServiceOptions SO;
-  SO.Threads = 2;
   FaultyWorker Killer(FO, SO);
   ASSERT_TRUE(Killer.start());
 
   eventlog::journalStartBuffered();
   ClusterOptions O = baseOptions(Limit);
-  O.Workers = Honest.specs();
   WorkerSpec W;
+  W.Port = Honest.port();
+  O.Workers.push_back(W);
   W.Port = Killer.port();
   O.Workers.push_back(W);
   O.Shards = 4;
   ClusterResult R = ClusterCoordinator(std::move(O)).run();
   eventlog::journalStop();
   Killer.stop();
+  Honest.stop();
 
   expectMatchesReference(R, Ref);
   EXPECT_GE(R.Stats.Retries, 1u);
@@ -319,85 +346,6 @@ TEST(Cluster, HostileChunkStreamsAreRetriedNeverMerged) {
     EXPECT_GE(R.Stats.Retries, 1u);
     EXPECT_GE(Hostile.faultsInjected(), 1u);
   }
-}
-
-TEST(Cluster, DuplicateCompletionFingerprintMismatchFailsLoudly) {
-  if (!haveSockets())
-    GTEST_SKIP() << "no sockets on this platform";
-  constexpr size_t Limit = 100;
-
-  Fleet Honest;
-  ASSERT_TRUE(Honest.add(1));
-  // This worker always corrupts objectives AND delays its replies, so
-  // the honest worker speculatively completes the corrupt worker's shard
-  // first; the corrupt duplicate then arrives with a different
-  // fingerprint — a byzantine worker the run must refuse to trust.
-  FaultOptions FO;
-  FO.Mode = FaultMode::CorruptObjectives;
-  FO.TriggerConnections = 0;
-  FO.AfterChunks = 0;
-  FO.PreReplyDelayMs = 2500;
-  service::ServiceOptions SO;
-  SO.Threads = 2;
-  FaultyWorker Corrupt(FO, SO);
-  ASSERT_TRUE(Corrupt.start());
-
-  ClusterOptions O = baseOptions(Limit);
-  O.Workers = Honest.specs();
-  WorkerSpec W;
-  W.Port = Corrupt.port();
-  O.Workers.push_back(W);
-  O.Shards = 2;
-  O.Speculate = true;
-  ClusterResult R = ClusterCoordinator(std::move(O)).run();
-  Corrupt.stop();
-
-  EXPECT_FALSE(R.Ok);
-  EXPECT_GE(R.Stats.DuplicateCompletions, 1u);
-  EXPECT_GE(R.Stats.FingerprintMismatches, 1u);
-  ASSERT_FALSE(R.Errors.empty());
-  EXPECT_NE(R.Errors.front().find("fingerprint"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Duplicate completions on the healthy path resolve first-wins
-//===----------------------------------------------------------------------===//
-
-TEST(Cluster, SpeculativeDuplicatesAgreeOnFingerprints) {
-  if (!haveSockets())
-    GTEST_SKIP() << "no sockets on this platform";
-  constexpr size_t Limit = 150;
-  Json Ref = singleMachineSweep(Limit);
-
-  // One honest-but-slow worker: the fast worker finishes everything and
-  // speculates the slow worker's in-flight shard, producing duplicate
-  // completions whose fingerprints MUST agree (sweeps are
-  // deterministic).
-  Fleet Fast;
-  ASSERT_TRUE(Fast.add(1));
-  FaultOptions FO;
-  FO.Mode = FaultMode::None;
-  FO.TriggerConnections = 0;
-  FO.PreReplyDelayMs = 1000;
-  service::ServiceOptions SO;
-  SO.Threads = 2;
-  FaultyWorker Slow(FO, SO);
-  ASSERT_TRUE(Slow.start());
-
-  ClusterOptions O = baseOptions(Limit);
-  O.Workers = Fast.specs();
-  WorkerSpec W;
-  W.Port = Slow.port();
-  O.Workers.push_back(W);
-  O.Shards = 2;
-  O.Speculate = true;
-  ClusterResult R = ClusterCoordinator(std::move(O)).run();
-  Slow.stop();
-
-  expectMatchesReference(R, Ref);
-  EXPECT_GE(R.Stats.SpeculativeDispatches, 1u);
-  EXPECT_GE(R.Stats.DuplicateCompletions, 1u);
-  EXPECT_EQ(R.Stats.FingerprintMismatches, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 
 using namespace dahlia;
 using namespace dahlia::dse;
@@ -210,6 +212,32 @@ TEST(DseEngine, ThreadCountInvariance) {
       ASSERT_EQ(R.Points[I].Accepted, Ref.Points[I].Accepted)
           << "config " << I << " at " << Threads << " threads";
   }
+}
+
+TEST(DseEngine, ProgressTicksRunOnTheCallingThread) {
+  // The TCP server streams `watch` records from these ticks and drops any
+  // that fire off its loop thread, so a multi-threaded sweep must tick on
+  // the thread that called explore — mid-sweep, not only at phase
+  // boundaries.
+  DseProblem P = sliceProblem(sliceSpace());
+  DseOptions Opts;
+  Opts.Threads = 4;
+  Opts.GrainSize = 8;
+  Opts.ProgressIntervalSec = 0;
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<size_t> OffThread{0};
+  size_t MidSweep = 0;
+  Opts.OnProgress = [&](const DseProgress &Pr) {
+    if (std::this_thread::get_id() != Caller) {
+      ++OffThread;
+      return;
+    }
+    if (Pr.Done > 0 && Pr.Done < Pr.Total)
+      ++MidSweep;
+  };
+  DseEngine(Opts).explore(P);
+  EXPECT_EQ(OffThread.load(), 0u);
+  EXPECT_GT(MidSweep, 0u);
 }
 
 TEST(DseEngine, SharedCacheSecondRunHitsAndAgrees) {

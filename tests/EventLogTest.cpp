@@ -206,6 +206,42 @@ TEST(EventLog, FileJournalRoundTripsThroughSearchJournal) {
   std::remove(Path.c_str());
 }
 
+TEST(EventLog, SchemaOneJournalsStillReplay) {
+  // A schema-1 journal of a successive-halving sweep: its rung/rescue
+  // kinds and removed fields are skipped as unknown, not rejected.
+  std::vector<std::string> Lines = {
+      R"({"seq":0,"ts_us":1,"kind":"journal-begin","schema":1})",
+      R"({"seq":1,"ts_us":2,"kind":"sweep-begin","space":2,"explored":2,)"
+      R"("strategy":"halving","threads":1,"eta":4})",
+      R"({"seq":2,"ts_us":3,"kind":"enumerated","config":0})",
+      R"({"seq":3,"ts_us":4,"kind":"enumerated","config":1})",
+      R"({"seq":4,"ts_us":5,"kind":"rung","rung":1,"candidates":2,)"
+      R"("kept":1,"bound_fidelity":"medium"})",
+      R"({"seq":5,"ts_us":6,"kind":"estimate","config":0,)"
+      R"("fidelity":"full","cache_hit":false})",
+      R"({"seq":6,"ts_us":7,"kind":"front-enter","config":0,"front":"all"})",
+      R"({"seq":7,"ts_us":8,"kind":"rescue","config":1})",
+      R"({"seq":8,"ts_us":9,"kind":"sweep-end","explored":2,"accepted":0,)"
+      R"("pruned":0,"rescued":1,"seconds":0.1,"front":[0],)"
+      R"("accepted_front":[]})",
+      R"({"seq":9,"ts_us":10,"kind":"journal-end","events":10})"};
+  std::string Err;
+  std::optional<journal::SearchJournal> J =
+      journal::SearchJournal::parse(Lines, &Err);
+  ASSERT_TRUE(J) << Err;
+  EXPECT_EQ(J->schema(), 1);
+  EXPECT_TRUE(J->checkConsistent().empty());
+  Json F = J->funnel(0);
+  EXPECT_EQ(F.at("strategy").asString(), "halving");
+  EXPECT_EQ(F.at("front_size").asInt(), 1);
+  EXPECT_FALSE(F.contains("rungs"));
+
+  Lines[0] = R"({"seq":0,"ts_us":1,"kind":"journal-begin","schema":3})";
+  J = journal::SearchJournal::parse(Lines, &Err);
+  ASSERT_TRUE(J) << Err;
+  EXPECT_FALSE(J->checkConsistent().empty());
+}
+
 TEST(EventLog, JournalStartRejectsUnwritablePath) {
   EXPECT_FALSE(eventlog::journalStart("/nonexistent-dir/journal.jsonl"));
   EXPECT_FALSE(eventlog::journalActive());
@@ -242,9 +278,9 @@ TEST(EventLog, SingleThreadSweepJournalReplaysDeterministically) {
   auto Space = sliceSpace(400);
   DseProblem P = sliceProblem(Space);
   std::vector<std::string> A =
-      journaledSweep(P, StrategyKind::Halving, /*Threads=*/1);
+      journaledSweep(P, StrategyKind::ParetoPrune, /*Threads=*/1);
   std::vector<std::string> B =
-      journaledSweep(P, StrategyKind::Halving, /*Threads=*/1);
+      journaledSweep(P, StrategyKind::ParetoPrune, /*Threads=*/1);
 
   std::vector<std::string> NA = normalized(A), NB = normalized(B);
   ASSERT_EQ(NA.size(), NB.size());
@@ -256,7 +292,7 @@ TEST(EventLog, SweepJournalIsConsistentAndExplainsPrunes) {
   auto Space = sliceSpace(400);
   DseProblem P = sliceProblem(Space);
   std::vector<std::string> Lines =
-      journaledSweep(P, StrategyKind::Halving, /*Threads=*/2);
+      journaledSweep(P, StrategyKind::ParetoPrune, /*Threads=*/2);
 
   std::string Err;
   std::optional<journal::SearchJournal> J =
@@ -274,7 +310,7 @@ TEST(EventLog, SweepJournalIsConsistentAndExplainsPrunes) {
       Dominator = static_cast<uint64_t>(E.Fields.at("dominator").asInt());
       break;
     }
-  ASSERT_TRUE(Pruned) << "a 400-config halving sweep must prune something";
+  ASSERT_TRUE(Pruned) << "a 400-config pruned sweep must prune something";
 
   Json W = J->whyPruned(*Pruned);
   EXPECT_EQ(W.at("status").asString(), "pruned");

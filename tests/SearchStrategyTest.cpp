@@ -3,9 +3,8 @@
 // Part of dahlia-cpp, a reproduction of "Predictable Accelerator Design with
 // Time-Sensitive Affine Types" (PLDI 2020).
 //
-// The strategy contract: every search strategy — successive halving,
-// dominance pruning, and any shard split of either — produces EXACTLY the
-// Pareto-front membership of the exhaustive sweep. The enabling property
+// The strategy contract: dominance pruning, and any shard split of it,
+// produces EXACTLY the Pareto-front membership of the exhaustive sweep. The enabling property
 // is the estimator fidelity ladder (each fidelity is a component-wise
 // lower bound of the next), which this file pins directly.
 //
@@ -64,13 +63,14 @@ DseResult runStrategy(const DseProblem &P, StrategyKind K,
 TEST(SearchStrategyParse, StrategyNames) {
   EXPECT_EQ(parseStrategy("exhaustive"), StrategyKind::Exhaustive);
   EXPECT_EQ(parseStrategy(""), StrategyKind::Exhaustive);
-  EXPECT_EQ(parseStrategy("halving"), StrategyKind::Halving);
-  EXPECT_EQ(parseStrategy("successive-halving"), StrategyKind::Halving);
   EXPECT_EQ(parseStrategy("pareto-prune"), StrategyKind::ParetoPrune);
   EXPECT_EQ(parseStrategy("prune"), StrategyKind::ParetoPrune);
   EXPECT_FALSE(parseStrategy("bayesian").has_value());
-  for (StrategyKind K : {StrategyKind::Exhaustive, StrategyKind::Halving,
-                         StrategyKind::ParetoPrune})
+  // Successive halving was removed; its names are unknown now.
+  EXPECT_FALSE(parseStrategy("halving").has_value());
+  EXPECT_FALSE(parseStrategy("successive-halving").has_value());
+  EXPECT_STREQ(kStrategyNames, "exhaustive, pareto-prune");
+  for (StrategyKind K : {StrategyKind::Exhaustive, StrategyKind::ParetoPrune})
     EXPECT_EQ(parseStrategy(strategyName(K)), K);
 }
 
@@ -177,7 +177,7 @@ TEST(FidelityLadder, WarmCacheCrossRungRunStaysExact) {
   DseResult Fresh = runStrategy(P, StrategyKind::Exhaustive, 1);
 
   auto Cache = std::make_shared<DseCache>();
-  DseResult Pruned = runStrategy(P, StrategyKind::Halving, 2, Cache);
+  DseResult Pruned = runStrategy(P, StrategyKind::ParetoPrune, 2, Cache);
   EXPECT_GT(Cache->estimateCount(), 0u);
   DseResult Warm = runStrategy(P, StrategyKind::Exhaustive, 2, Cache);
 
@@ -198,26 +198,6 @@ TEST(FidelityLadder, WarmCacheCrossRungRunStaysExact) {
 // Strategy exactness
 //===----------------------------------------------------------------------===//
 
-TEST(SearchStrategy, HalvingNeverDropsATrueParetoMember) {
-  auto Space = sliceSpace();
-  DseProblem P = sliceProblem(Space);
-  DseResult Ex = runStrategy(P, StrategyKind::Exhaustive);
-  DseResult Ha = runStrategy(P, StrategyKind::Halving);
-
-  EXPECT_EQ(Ha.Front, Ex.Front);
-  EXPECT_EQ(Ha.AcceptedFront, Ex.AcceptedFront);
-  EXPECT_EQ(Ha.Stats.Accepted, Ex.Stats.Accepted);
-  // Every front member carries genuine full-fidelity objectives.
-  for (size_t I : Ha.Front) {
-    ASSERT_TRUE(Ha.Points[I].Estimated);
-    EXPECT_TRUE(equalObjectives(Ha.Points[I].Obj, Ex.Points[I].Obj)) << I;
-  }
-  // And it earned that front cheaply: well under the 40% acceptance bound.
-  EXPECT_LT(Ha.Stats.Estimated, Ex.Stats.Estimated * 2 / 5);
-  EXPECT_EQ(Ha.Stats.Estimated + Ha.Stats.Pruned, Ex.Stats.Estimated);
-  EXPECT_GT(Ha.Stats.Pruned, 0u);
-}
-
 TEST(SearchStrategy, DominancePruningIsExact) {
   auto Space = sliceSpace();
   DseProblem P = sliceProblem(Space);
@@ -227,29 +207,28 @@ TEST(SearchStrategy, DominancePruningIsExact) {
   EXPECT_EQ(Pr.Front, Ex.Front);
   EXPECT_EQ(Pr.AcceptedFront, Ex.AcceptedFront);
   EXPECT_EQ(Pr.Stats.Accepted, Ex.Stats.Accepted);
+  // Every front member carries genuine full-fidelity objectives.
+  for (size_t I : Pr.Front) {
+    ASSERT_TRUE(Pr.Points[I].Estimated);
+    EXPECT_TRUE(equalObjectives(Pr.Points[I].Obj, Ex.Points[I].Obj)) << I;
+  }
   // Exactness accounting: every candidate was either fully estimated or
   // provably dominated — nothing fell through.
   EXPECT_EQ(Pr.Stats.Estimated + Pr.Stats.Pruned, Ex.Stats.Estimated);
   EXPECT_GT(Pr.Stats.Pruned, 0u);
   EXPECT_LT(Pr.Stats.Estimated, Ex.Stats.Estimated / 2);
-  EXPECT_EQ(Pr.Stats.Rescued, 0u); // halving-only counter
 }
 
 TEST(SearchStrategy, PrunedStrategiesAreThreadCountInvariant) {
   auto Space = sliceSpace();
   DseProblem P = sliceProblem(Space);
-  for (StrategyKind K : {StrategyKind::Halving, StrategyKind::ParetoPrune}) {
-    DseResult Ref = runStrategy(P, K, 1);
-    for (unsigned Threads : {2u, 4u}) {
-      DseResult R = runStrategy(P, K, Threads);
-      EXPECT_EQ(R.Front, Ref.Front) << strategyName(K) << "@" << Threads;
-      EXPECT_EQ(R.AcceptedFront, Ref.AcceptedFront)
-          << strategyName(K) << "@" << Threads;
-      EXPECT_EQ(R.Stats.Estimated, Ref.Stats.Estimated)
-          << strategyName(K) << "@" << Threads;
-      EXPECT_EQ(R.Stats.Pruned, Ref.Stats.Pruned)
-          << strategyName(K) << "@" << Threads;
-    }
+  DseResult Ref = runStrategy(P, StrategyKind::ParetoPrune, 1);
+  for (unsigned Threads : {2u, 4u}) {
+    DseResult R = runStrategy(P, StrategyKind::ParetoPrune, Threads);
+    EXPECT_EQ(R.Front, Ref.Front) << Threads;
+    EXPECT_EQ(R.AcceptedFront, Ref.AcceptedFront) << Threads;
+    EXPECT_EQ(R.Stats.Estimated, Ref.Stats.Estimated) << Threads;
+    EXPECT_EQ(R.Stats.Pruned, Ref.Stats.Pruned) << Threads;
   }
 }
 
@@ -313,7 +292,7 @@ TEST(ShardMerge, ThreeShardsReproduceTheWholeFrontAtAnyThreadCount) {
 }
 
 TEST(ShardMerge, PrunedShardsMergeToTheExactFrontToo) {
-  // Strategy and sharding compose: halving inside each shard still yields
+  // Strategy and sharding compose: pruning inside each shard still yields
   // the exact whole-space front after the merge.
   auto Space = sliceSpace();
   DseProblem P = sliceProblem(Space);
@@ -322,7 +301,7 @@ TEST(ShardMerge, PrunedShardsMergeToTheExactFrontToo) {
   std::vector<FrontPoint> Points;
   size_t FullEstimates = 0;
   for (unsigned S = 0; S != 3; ++S) {
-    DseResult Part = runStrategy(P, StrategyKind::Halving, 2, nullptr,
+    DseResult Part = runStrategy(P, StrategyKind::ParetoPrune, 2, nullptr,
                                  ShardSpec{S, 3});
     FullEstimates += Part.Stats.Estimated;
     std::vector<FrontPoint> FP = collectFrontPoints(Part);

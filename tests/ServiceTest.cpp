@@ -400,13 +400,24 @@ TEST(Service, DseSweepStrategiesAndShardsMergeExactly) {
   EXPECT_FALSE(Whole.R.Sweep.contains("front_points"));
 
   // A pruned sweep reports the identical front with fewer full estimates.
-  ClientResponse Halved = Sweep("halving", "");
-  ASSERT_TRUE(Halved.R.Ok);
-  EXPECT_EQ(Halved.R.Sweep.at("front").dump(), WholeFront);
-  EXPECT_EQ(Halved.R.Sweep.at("front_hash").asString(), WholeHash);
-  EXPECT_LT(Halved.R.Sweep.at("estimated").asInt(),
+  ClientResponse Pruned = Sweep("pareto-prune", "");
+  ASSERT_TRUE(Pruned.R.Ok);
+  EXPECT_EQ(Pruned.R.Sweep.at("front").dump(), WholeFront);
+  EXPECT_EQ(Pruned.R.Sweep.at("front_hash").asString(), WholeHash);
+  EXPECT_LT(Pruned.R.Sweep.at("estimated").asInt(),
             Whole.R.Sweep.at("estimated").asInt());
-  EXPECT_GT(Halved.R.Sweep.at("pruned").asInt(), 0);
+  EXPECT_GT(Pruned.R.Sweep.at("pruned").asInt(), 0);
+  EXPECT_FALSE(Pruned.R.Sweep.contains("rescued"));
+
+  // The removed successive-halving strategy is a structured error that
+  // names the strategies that do exist.
+  ClientResponse Removed = Sweep("halving", "");
+  ASSERT_FALSE(Removed.R.Ok);
+  ASSERT_FALSE(Removed.R.Errors.empty());
+  EXPECT_NE(Removed.R.Errors.front().message().find(
+                "unknown sweep strategy 'halving' (exhaustive, pareto-prune)"),
+            std::string::npos)
+      << Removed.R.Errors.front().message();
 
   // Three sharded sweeps union back into the whole-space membership.
   std::vector<dse::FrontPoint> Points;
