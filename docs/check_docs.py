@@ -18,7 +18,9 @@ Checks three machine-verifiable contracts:
     docs/observability.md;
   * every search-journal event kind emitted under src/ (the string
     literals passed to eventlog::emit) appears in
-    docs/observability.md;
+    docs/observability.md and has an entry in eventlog::kKindSchemas
+    (src/support/EventLog.h), the one declaration of each kind's
+    required payload fields;
   * every metric and journal event kind the cluster layer (src/cluster/)
     registers ALSO appears in docs/cluster.md — the distributed-DSE doc
     must describe its own observable surface, not defer to a grep of
@@ -28,8 +30,9 @@ Usage:
   docs/check_docs.py [--bin-dir build] [--repo .] [--self-test]
 
 --self-test additionally verifies the gate has teeth: it replays the
-checks against doc text with one op, one flag, and one metric removed,
-and with one stale flag added, and fails if that tampering is NOT
+checks against doc text with one op, one flag, one metric, and one
+event kind removed, with one stale flag added, and with one kind
+dropped from the schema table, and fails if that tampering is NOT
 detected. CI runs both.
 
 Exits non-zero listing every violation.
@@ -160,6 +163,27 @@ def event_kinds(repo):
         sys.exit("check_docs: found no eventlog::emit sites under src/ — "
                  "did the journal move?")
     return kinds
+
+
+SCHEMA_RE = re.compile(r'\{"([a-z][a-z0-9-]*)",\s*\{')
+
+
+def schema_kinds(repo):
+    """The kinds eventlog::kKindSchemas declares required fields for."""
+    header = read(os.path.join(repo, "src", "support", "EventLog.h"))
+    table = header[header.find("kKindSchemas[] = {"):]
+    kinds = set(SCHEMA_RE.findall(table[:table.find("};")]))
+    if not kinds:
+        sys.exit("check_docs: found no kKindSchemas entries in "
+                 "src/support/EventLog.h — did the table move?")
+    return kinds
+
+
+def check_schema_table(events, schemas):
+    """Emitted kinds with no kKindSchemas entry."""
+    return [f"src/support/EventLog.h: journal event kind '{kind}' is "
+            f"emitted under src/ but has no kKindSchemas entry"
+            for kind in sorted(events - schemas)]
 
 
 def cluster_surface(repo):
@@ -304,6 +328,8 @@ def main():
                      cli_md, observability_md)
     failures += check_stale_flags(known_flags, cli_md)
     failures += check_cluster_doc(cluster_names, cluster_md)
+    schemas = schema_kinds(args.repo)
+    failures += check_schema_table(events, schemas)
     if args.self_test:
         failures += self_test(ops, flags_by_bin, metrics, events,
                               protocol_md, cli_md, observability_md)
@@ -314,6 +340,12 @@ def main():
         if not check_cluster_doc(cluster_names, tampered):
             failures.append(
                 f"self-test: removing '{victim}' from cluster.md was "
+                f"not detected")
+        # An emitted kind missing from the schema table must be caught.
+        victim = sorted(events)[0]
+        if not check_schema_table(events, schemas - {victim}):
+            failures.append(
+                f"self-test: dropping '{victim}' from kKindSchemas was "
                 f"not detected")
         # And the reverse flag leg: a row for a flag nothing accepts.
         tampered = cli_md + "\n| `--stale-flag` | removed long ago |\n"
@@ -330,7 +362,7 @@ def main():
     mode = "binaries" if args.bin_dir else "sources"
     print(f"docs gate OK: {len(ops)} ops, {nflags} flags, "
           f"{len(metrics)} metrics, and {len(events)} journal event "
-          f"kinds documented (checked against {mode}"
+          f"kinds documented and schema-declared (checked against {mode}"
           f"{', self-test passed' if args.self_test else ''})")
 
 

@@ -13,16 +13,17 @@
 //   dahlia-dse-report sweep.jsonl --assert-consistent  # CI gate
 //
 // --assert-consistent machine-checks the journal's invariants (framing,
-// dense seq numbering, every front member fully estimated and never
-// pruned, every prune's dominator estimated) and exits non-zero listing
-// violations — CI runs it on the fig7 smoke journal.
+// dense seq numbering, well-typed envelopes, every known kind's required
+// fields, every front member fully estimated and never pruned, every
+// prune's dominator estimated) and exits non-zero listing violations —
+// CI runs it on the fig7 and cluster smoke journals.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dse/Journal.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -49,6 +50,25 @@ const char *kUsage =
 int usage() {
   std::fprintf(stderr, "%s", kUsage);
   return 2;
+}
+
+/// Parses \p S as a non-negative decimal integer spanning the whole
+/// string ("1l8", "abc", "-1" and "" are all rejected).
+std::optional<unsigned long long> parseIndex(const char *S) {
+  const char *End = S + std::strlen(S);
+  unsigned long long V = 0;
+  auto [P, Ec] = std::from_chars(S, End, V);
+  if (Ec != std::errc() || P == S || P != End)
+    return std::nullopt;
+  return V;
+}
+
+int badIndex(const char *Flag, const char *Value) {
+  std::fprintf(stderr,
+               "dahlia-dse-report: %s expects a non-negative integer, got "
+               "'%s'\n",
+               Flag, Value);
+  return usage();
 }
 
 void printFunnel(const Json &F, size_t Sweep) {
@@ -115,7 +135,7 @@ int main(int Argc, char **Argv) {
   const char *TraceOut = nullptr;
   bool Funnel = false, CacheStats = false, Timeline = false;
   bool AssertConsistent = false, AsJson = false;
-  long long WhyPruned = -1, SweepArg = -1;
+  std::optional<unsigned long long> WhyPruned, SweepArg;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--help")) {
       std::printf("%s", kUsage);
@@ -131,9 +151,11 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(Argv[I], "--json")) {
       AsJson = true;
     } else if (!std::strcmp(Argv[I], "--why-pruned") && I + 1 < Argc) {
-      WhyPruned = std::atoll(Argv[++I]);
+      if (!(WhyPruned = parseIndex(Argv[++I])))
+        return badIndex("--why-pruned", Argv[I]);
     } else if (!std::strcmp(Argv[I], "--sweep") && I + 1 < Argc) {
-      SweepArg = std::atoll(Argv[++I]);
+      if (!(SweepArg = parseIndex(Argv[++I])))
+        return badIndex("--sweep", Argv[I]);
     } else if (!std::strcmp(Argv[I], "--trace-out") && I + 1 < Argc) {
       TraceOut = Argv[++I];
     } else if (Argv[I][0] == '-') {
@@ -157,20 +179,20 @@ int main(int Argc, char **Argv) {
   }
 
   // No mode flag: the default report is funnel + cache stats.
-  if (!Funnel && !CacheStats && !Timeline && WhyPruned < 0 && !TraceOut &&
+  if (!Funnel && !CacheStats && !Timeline && !WhyPruned && !TraceOut &&
       !AssertConsistent)
     Funnel = CacheStats = true;
 
   std::vector<size_t> SweepIds;
-  if (SweepArg >= 0) {
-    if (static_cast<size_t>(SweepArg) >= J->sweepCount()) {
+  if (SweepArg) {
+    if (*SweepArg >= J->sweepCount()) {
       std::fprintf(stderr,
                    "dahlia-dse-report: journal has %zu sweep(s); no sweep "
-                   "%lld\n",
-                   J->sweepCount(), SweepArg);
+                   "%llu\n",
+                   J->sweepCount(), *SweepArg);
       return 1;
     }
-    SweepIds.push_back(static_cast<size_t>(SweepArg));
+    SweepIds.push_back(static_cast<size_t>(*SweepArg));
   } else {
     for (size_t S = 0; S != J->sweepCount(); ++S)
       SweepIds.push_back(S);
@@ -212,10 +234,10 @@ int main(int Argc, char **Argv) {
     }
     Out["timeline"] = A;
   }
-  if (WhyPruned >= 0) {
-    Json W = J->whyPruned(static_cast<uint64_t>(WhyPruned));
+  if (WhyPruned) {
+    Json W = J->whyPruned(*WhyPruned);
     if (!AsJson)
-      std::printf("config %lld: %s — %s\n", WhyPruned,
+      std::printf("config %llu: %s — %s\n", *WhyPruned,
                   W.at("status").asString().c_str(),
                   W.at("detail").asString().c_str());
     Out["why_pruned"] = std::move(W);

@@ -84,6 +84,12 @@ dahlia::cluster::parseWorkerList(const std::string &List, std::string *Err) {
 
 namespace {
 
+/// Key-residue slices per cache-export (keeps each response line under
+/// the server's line cap for giant caches).
+constexpr unsigned kCacheSlices = 4;
+/// Entries per cache-import request when re-shipping the union.
+constexpr size_t kCacheImportChunk = 4096;
+
 std::string joinErrors(const std::vector<Error> &Errors) {
   if (Errors.empty())
     return "unknown error";
@@ -155,7 +161,9 @@ bool ClusterCoordinator::attemptShard(size_t W, unsigned Shard,
   std::iostream Ios(&Buf);
 
   service::ServiceClient C(Ios, Ios);
-  C.setStrict(Opts.Strict);
+  // Strict decoding: hostile chunk streams become structured errors,
+  // never silent front corruption.
+  C.setStrict(true);
   service::Request R;
   R.Kind = service::Op::DseSweep;
   R.Space = Opts.Space;
@@ -327,7 +335,7 @@ void ClusterCoordinator::workerLoop(size_t W) {
                            std::to_string(Opts.Retry) + "): " + Err);
           Aborted = true;
         }
-        if (WorkerStates[W].ConsecutiveFailures >= Opts.WorkerFailureLimit) {
+        if (WorkerStates[W].ConsecutiveFailures >= kWorkerFailureLimit) {
           WorkerStates[W].Dead = true;
           WorkerDied = true;
           ++Stats.WorkerDeaths;
@@ -576,7 +584,6 @@ bool ClusterCoordinator::syncCaches(std::string *Err, size_t *Shipped) {
   // Pull every live worker's cache, slice by slice, into one union.
   std::map<uint64_t, bool> Verdicts;
   std::map<uint64_t, hlsim::Estimate> Estimates;
-  unsigned Slices = std::max(1u, Opts.CacheSlices);
   for (const auto &[Idx, Spec] : Targets) {
     int Fd = connectLoopback(Spec.Port);
     if (Fd < 0) {
@@ -589,11 +596,11 @@ bool ClusterCoordinator::syncCaches(std::string *Err, size_t *Shipped) {
     FdStreamBuf Buf(Fd);
     std::iostream Ios(&Buf);
     service::ServiceClient C(Ios, Ios);
-    C.setStrict(Opts.Strict);
+    C.setStrict(true);
     bool Failed = false;
-    for (unsigned S = 0; S != Slices && !Failed; ++S) {
+    for (unsigned S = 0; S != kCacheSlices && !Failed; ++S) {
       service::ClientResponse R = C.cacheExport(
-          std::to_string(S) + "/" + std::to_string(Slices));
+          std::to_string(S) + "/" + std::to_string(kCacheSlices));
       if (!R.R.Ok) {
         if (Err)
           *Err = "worker " + std::to_string(Idx) +
@@ -627,7 +634,6 @@ bool ClusterCoordinator::syncCaches(std::string *Err, size_t *Shipped) {
                                               Verdicts.end());
   std::vector<std::pair<uint64_t, hlsim::Estimate>> AllE(Estimates.begin(),
                                                          Estimates.end());
-  size_t Chunk = std::max<size_t>(1, Opts.CacheImportChunk);
   for (const auto &[Idx, Spec] : Targets) {
     int Fd = connectLoopback(Spec.Port);
     if (Fd < 0) {
@@ -640,11 +646,11 @@ bool ClusterCoordinator::syncCaches(std::string *Err, size_t *Shipped) {
     FdStreamBuf Buf(Fd);
     std::iostream Ios(&Buf);
     service::ServiceClient C(Ios, Ios);
-    C.setStrict(Opts.Strict);
+    C.setStrict(true);
     for (size_t VOff = 0, EOff = 0;
          VOff < AllV.size() || EOff < AllE.size();) {
-      size_t VEnd = std::min(AllV.size(), VOff + Chunk);
-      size_t EEnd = std::min(AllE.size(), EOff + Chunk);
+      size_t VEnd = std::min(AllV.size(), VOff + kCacheImportChunk);
+      size_t EEnd = std::min(AllE.size(), EOff + kCacheImportChunk);
       std::vector<std::pair<uint64_t, bool>> V(AllV.begin() + VOff,
                                                AllV.begin() + VEnd);
       std::vector<std::pair<uint64_t, hlsim::Estimate>> E(

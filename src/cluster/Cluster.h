@@ -86,20 +86,13 @@ struct ClusterOptions {
   /// Base backoff after a failed attempt; doubles per consecutive
   /// failure of that worker, capped at 1s.
   int RetryBackoffMs = 25;
-  /// Consecutive failures after which a worker is declared dead.
-  unsigned WorkerFailureLimit = 3;
-  /// Strict client decoding (ServiceClient::setStrict): hostile chunk
-  /// streams become structured errors, never silent front corruption.
-  bool Strict = true;
   /// Ship the union of all workers' memo caches back to every worker
   /// after the sweep (see syncCaches).
   bool SyncCacheAfter = false;
-  /// Key-residue slices per cache-export (keeps each response line under
-  /// the server's line cap for giant caches).
-  unsigned CacheSlices = 4;
-  /// Entries per cache-import request when re-shipping the union.
-  size_t CacheImportChunk = 4096;
 };
+
+/// Consecutive failed attempts after which a worker is declared dead.
+constexpr unsigned kWorkerFailureLimit = 3;
 
 /// Aggregate counters of one cluster run.
 struct ClusterStats {

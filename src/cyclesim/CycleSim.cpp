@@ -24,6 +24,12 @@ using namespace dahlia::hlsim;
 
 namespace {
 
+/// Global budget of cycle-walked groups across all nests. The periodic
+/// caps keep real kernels far below this; on pathological specs the walk
+/// truncates and the II is clamped to the analytic sampled scan so the
+/// lower-bound guarantee still holds.
+constexpr uint64_t kMaxWalkGroups = 1u << 20;
+
 /// Everything the walk needs about one nest, resolved once.
 struct NestPlan {
   KernelSpec::NestView N;
@@ -83,14 +89,13 @@ NestPlan planNest(const KernelSpec &K, const KernelSpec::NestView &N) {
 
 } // namespace
 
-SimResult dahlia::cyclesim::simulate(const KernelSpec &K,
-                                     const SimOptions &O) {
+SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   TRACE_SPAN("cyclesim.simulate");
   static metrics::Counter &Sims = metrics::counter("cyclesim.simulations");
   Sims.inc();
-  const CostModel &CM = O.CM;
+  const CostModel CM;
   SimResult R;
-  uint64_t Budget = std::max<uint64_t>(O.MaxWalkGroups, 1);
+  uint64_t Budget = kMaxWalkGroups;
 
   double Cycles = 0;
   for (size_t NI = 0; NI != K.nestCount(); ++NI) {

@@ -75,17 +75,6 @@ struct NestSim {
                                ///< (the II is exact, not clamped).
 };
 
-struct SimOptions {
-  /// Cost constants for the schedule (pipeline depth, loop overhead,
-  /// accumulator II, noise). Defaults to the Full-fidelity model.
-  hlsim::CostModel CM;
-  /// Global budget of cycle-walked groups across all nests. The periodic
-  /// caps keep real kernels far below this; on pathological specs the
-  /// walk truncates and the II is clamped to the analytic sampled scan
-  /// so the lower-bound guarantee still holds.
-  uint64_t MaxWalkGroups = 1u << 20;
-};
-
 /// One simulation outcome.
 struct SimResult {
   double Cycles = 0;         ///< End-to-end simulated cycles.
@@ -95,9 +84,10 @@ struct SimResult {
   std::vector<NestSim> Nests;
 };
 
-/// Simulates \p K cycle-by-cycle. Deterministic: the same spec and
-/// options always produce the same result.
-SimResult simulate(const hlsim::KernelSpec &K, const SimOptions &O = {});
+/// Simulates \p K cycle-by-cycle under the Full-fidelity cost constants
+/// (pipeline depth, loop overhead, accumulator II, noise).
+/// Deterministic: the same spec always produces the same result.
+SimResult simulate(const hlsim::KernelSpec &K);
 
 /// The Exact-fidelity estimate: the Full-fidelity analytic estimate with
 /// cycles, II, and runtime replaced by the simulated schedule. This is

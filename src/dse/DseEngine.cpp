@@ -288,7 +288,14 @@ DseResult DseEngine::explore(const DseProblem &P) const {
       eventlog::emit("enumerated", eventlog::Record().field("config", I));
   }
 
-  makeStrategy(Opts.Strategy)->run(Ctx, R);
+  switch (Opts.Strategy) {
+  case StrategyKind::Exhaustive:
+    exhaustiveSearch(Ctx, R);
+    break;
+  case StrategyKind::ParetoPrune:
+    paretoPruneSearch(Ctx, R);
+    break;
+  }
 
   R.Stats.Explored = Ctx.Indices.size();
   R.Stats.Threads = Threads;

@@ -324,8 +324,8 @@ struct DseResult {
 /// The exploration engine. Stateless across runs; one instance may be
 /// reused (a shared \c DseCache carries state between runs if desired).
 /// \c explore resolves the worker budget and cache, restricts the space
-/// to the configured shard, and dispatches to the configured
-/// \c SearchStrategy (SearchStrategy.h) — Exhaustive by default.
+/// to the configured shard, and runs the configured strategy's search
+/// (SearchStrategy.h) — Exhaustive by default.
 class DseEngine {
 public:
   explicit DseEngine(DseOptions O = DseOptions()) : Opts(std::move(O)) {}

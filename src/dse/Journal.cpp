@@ -7,6 +7,8 @@
 
 #include "dse/Journal.h"
 
+#include "support/EventLog.h"
+
 #include <algorithm>
 #include <fstream>
 #include <map>
@@ -30,6 +32,15 @@ Json payload(const Event &E) {
 
 uint64_t configOf(const Event &E) {
   return static_cast<uint64_t>(E.Fields.at("config").asInt());
+}
+
+/// True when \p Kind matches `[a-z][a-z0-9-]*`.
+bool wellFormedKind(const std::string &Kind) {
+  if (Kind.empty() || Kind[0] < 'a' || Kind[0] > 'z')
+    return false;
+  return std::all_of(Kind.begin(), Kind.end(), [](char C) {
+    return (C >= 'a' && C <= 'z') || (C >= '0' && C <= '9') || C == '-';
+  });
 }
 
 } // namespace
@@ -411,6 +422,27 @@ std::vector<std::string> SearchJournal::checkConsistent() const {
            std::to_string(Events[I].Seq));
       break;
     }
+  // Envelope types, kind syntax, and each known kind's required payload
+  // fields (eventlog::kKindSchemas). Unknown kinds pass.
+  for (size_t I = 0; I != Events.size(); ++I) {
+    const Json &F = Events[I].Fields;
+    auto FailAt = [&](const std::string &What) {
+      Fail("event " + std::to_string(I) + ": " + What);
+    };
+    for (const char *Key : {"seq", "ts_us"})
+      if (!F.at(Key).isInt())
+        FailAt(std::string("envelope field '") + Key +
+               "' missing or not an integer");
+    if (!F.at("kind").isString() || !wellFormedKind(Events[I].Kind)) {
+      FailAt("malformed kind " + F.at("kind").dump());
+      continue;
+    }
+    if (const eventlog::KindSchema *S = eventlog::kindSchema(Events[I].Kind))
+      for (std::string_view Field : S->Fields)
+        if (!Field.empty() && !F.contains(std::string(Field)))
+          FailAt(Events[I].Kind + " lacks required field '" +
+                 std::string(Field) + "'");
+  }
 
   for (size_t S = 0; S != Sweeps.size(); ++S) {
     const SweepRange &R = Sweeps[S];

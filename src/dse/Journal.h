@@ -96,7 +96,10 @@ public:
 
   /// Machine-checks the whole journal; returns violations (empty means
   /// consistent). Checked: envelope framing (journal-begin schema,
-  /// journal-end event count, dense seq numbering), every sweep closed,
+  /// journal-end event count, dense seq numbering), every record's
+  /// envelope (integer seq and ts_us, a `[a-z][a-z0-9-]*` kind), every
+  /// known kind's required fields (eventlog::kKindSchemas; unknown kinds
+  /// pass), every sweep closed,
   /// every front member fully estimated / finally entered / never
   /// pruned, every prune's dominator fully estimated, and every
   /// config-bearing event scoped to an enumerated config.

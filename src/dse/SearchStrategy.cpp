@@ -380,72 +380,68 @@ void exactTopRungPass(const SearchContext &Ctx, DseResult &R) {
   R.AcceptedFront = Acc.indices();
 }
 
+} // namespace
+
 //===----------------------------------------------------------------------===//
-// ExhaustiveStrategy — the engine's original fused sweep
+// exhaustiveSearch — the engine's original fused sweep
 //===----------------------------------------------------------------------===//
 
-class ExhaustiveStrategy final : public SearchStrategy {
-public:
-  StrategyKind kind() const override { return StrategyKind::Exhaustive; }
+void dahlia::dse::exhaustiveSearch(const SearchContext &Ctx, DseResult &R) {
+  TRACE_SPAN("dse.exhaustive");
+  static metrics::Counter &Runs = metrics::counter("dse.exhaustive.runs");
+  Runs.inc();
+  struct WorkerTally {
+    size_t Accepted = 0;
+    size_t Estimated = 0;
+    ParetoFront FrontAll;
+    ParetoFront FrontAccepted;
+  };
+  const DseProblem &P = Ctx.Problem;
+  driver::CompilerPipeline Pipeline;
+  std::vector<WorkerTally> Tallies(Ctx.Threads);
 
-  void run(const SearchContext &Ctx, DseResult &R) const override {
-    TRACE_SPAN("dse.exhaustive");
-    static metrics::Counter &Runs = metrics::counter("dse.exhaustive.runs");
-    Runs.inc();
-    struct WorkerTally {
-      size_t Accepted = 0;
-      size_t Estimated = 0;
-      ParetoFront FrontAll;
-      ParetoFront FrontAccepted;
-    };
-    const DseProblem &P = Ctx.Problem;
-    driver::CompilerPipeline Pipeline;
-    std::vector<WorkerTally> Tallies(Ctx.Threads);
-
-    if (Ctx.Progress)
-      Ctx.Progress->beginPhase("sweep", Ctx.Indices.size());
-    parallelOver(Ctx, Ctx.Indices.size(), [&](unsigned W, size_t B,
-                                              size_t E) {
-      WorkerTally &T = Tallies[W];
-      for (size_t K = B; K != E; ++K) {
-        size_t I = Ctx.Indices[K];
-        DsePoint &Pt = R.Points[I];
-        Pt.Accepted = checkOne(Ctx, Pipeline, I);
-        T.Accepted += Pt.Accepted ? 1 : 0;
-        if (!Pt.Accepted && !P.EstimateRejected)
-          continue;
-        recordFull(Ctx, R, I);
-        ++T.Estimated;
-        T.FrontAll.insert(I, Pt.Obj);
-        if (Pt.Accepted)
-          T.FrontAccepted.insert(I, Pt.Obj);
-      }
-    });
-
-    // Deterministic reduction: the dominance-maximal set is unique and
-    // the equal-vector tie rule is order-independent, so any merge order
-    // yields the same membership. The merge runs on the calling thread,
-    // which is where front events are journaled (the per-worker fronts
-    // above are parallel and stay unlogged).
-    ParetoFront All, Acc;
-    for (WorkerTally &T : Tallies) {
-      mergeLogged(All, "all", T.FrontAll);
-      mergeLogged(Acc, "accepted", T.FrontAccepted);
-      R.Stats.Accepted += T.Accepted;
-      R.Stats.Estimated += T.Estimated;
+  if (Ctx.Progress)
+    Ctx.Progress->beginPhase("sweep", Ctx.Indices.size());
+  parallelOver(Ctx, Ctx.Indices.size(), [&](unsigned W, size_t B, size_t E) {
+    WorkerTally &T = Tallies[W];
+    for (size_t K = B; K != E; ++K) {
+      size_t I = Ctx.Indices[K];
+      DsePoint &Pt = R.Points[I];
+      Pt.Accepted = checkOne(Ctx, Pipeline, I);
+      T.Accepted += Pt.Accepted ? 1 : 0;
+      if (!Pt.Accepted && !P.EstimateRejected)
+        continue;
+      recordFull(Ctx, R, I);
+      ++T.Estimated;
+      T.FrontAll.insert(I, Pt.Obj);
+      if (Pt.Accepted)
+        T.FrontAccepted.insert(I, Pt.Obj);
     }
-    if (Ctx.Progress)
-      Ctx.Progress->setFrontSize(All.size());
-    R.Front = All.indices();
-    R.AcceptedFront = Acc.indices();
+  });
 
-    if (Ctx.ExactTopRung)
-      exactTopRungPass(Ctx, R);
+  // Deterministic reduction: the dominance-maximal set is unique and
+  // the equal-vector tie rule is order-independent, so any merge order
+  // yields the same membership. The merge runs on the calling thread,
+  // which is where front events are journaled (the per-worker fronts
+  // above are parallel and stay unlogged).
+  ParetoFront All, Acc;
+  for (WorkerTally &T : Tallies) {
+    mergeLogged(All, "all", T.FrontAll);
+    mergeLogged(Acc, "accepted", T.FrontAccepted);
+    R.Stats.Accepted += T.Accepted;
+    R.Stats.Estimated += T.Estimated;
   }
-};
+  if (Ctx.Progress)
+    Ctx.Progress->setFrontSize(All.size());
+  R.Front = All.indices();
+  R.AcceptedFront = Acc.indices();
+
+  if (Ctx.ExactTopRung)
+    exactTopRungPass(Ctx, R);
+}
 
 //===----------------------------------------------------------------------===//
-// ParetoPruneStrategy — dominance pruning on admissible bounds
+// paretoPruneSearch — dominance pruning on admissible bounds
 //===----------------------------------------------------------------------===//
 
 /// The pruned search:
@@ -460,13 +456,7 @@ public:
 ///
 /// Step 3's skip test is exact (never drops a front member) because the
 /// fidelity ladder makes every bound admissible; see SearchStrategy.h.
-class ParetoPruneStrategy final : public SearchStrategy {
-public:
-  StrategyKind kind() const override { return StrategyKind::ParetoPrune; }
-  void run(const SearchContext &Ctx, DseResult &R) const override;
-};
-
-void ParetoPruneStrategy::run(const SearchContext &Ctx, DseResult &R) const {
+void dahlia::dse::paretoPruneSearch(const SearchContext &Ctx, DseResult &R) {
   TRACE_SPAN("dse.pareto_prune");
   static metrics::Counter &PruneRuns =
       metrics::counter("dse.pareto_prune.runs");
@@ -557,18 +547,6 @@ void ParetoPruneStrategy::run(const SearchContext &Ctx, DseResult &R) const {
 
   if (Ctx.ExactTopRung)
     exactTopRungPass(Ctx, R);
-}
-
-} // namespace
-
-std::unique_ptr<SearchStrategy> dahlia::dse::makeStrategy(StrategyKind K) {
-  switch (K) {
-  case StrategyKind::Exhaustive:
-    return std::make_unique<ExhaustiveStrategy>();
-  case StrategyKind::ParetoPrune:
-    return std::make_unique<ParetoPruneStrategy>();
-  }
-  return std::make_unique<ExhaustiveStrategy>();
 }
 
 //===----------------------------------------------------------------------===//

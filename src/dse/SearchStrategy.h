@@ -6,18 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The search layer on top of \c DseEngine: pluggable strategies that
+/// The search layer on top of \c DseEngine: the two strategies that
 /// decide which configurations of a \c DseProblem receive a full-fidelity
-/// estimate, plus the shard-front plumbing that lets N processes sweep
-/// disjoint hash-partitions of one space and merge their partial Pareto
-/// fronts back into exactly the front a single process would compute.
+/// estimate (\c DseEngine::explore switches over \c StrategyKind), plus
+/// the shard-front plumbing that lets N processes sweep disjoint
+/// hash-partitions of one space and merge their partial Pareto fronts
+/// back into exactly the front a single process would compute.
 ///
 /// Both strategies produce IDENTICAL front membership:
 ///
-///   * \c ExhaustiveStrategy fully estimates every configuration (the
+///   * \c exhaustiveSearch fully estimates every configuration (the
 ///     engine's original behavior, and the oracle the pruned search is
 ///     checked against);
-///   * \c ParetoPruneStrategy walks configs in bound order and skips a
+///   * \c paretoPruneSearch walks configs in bound order and skips a
 ///     full estimate whenever the config's lower bound (hlsim
 ///     Fidelity::Coarse, tightened to ::Medium before paying for ::Full)
 ///     is strictly dominated by an already-estimated point's actual
@@ -43,7 +44,7 @@
 
 namespace dahlia::dse {
 
-/// Everything a strategy needs for one exploration, resolved by
+/// Everything a search needs for one exploration, resolved by
 /// \c DseEngine::explore: the problem, this shard's configuration
 /// indices (ascending), the worker budget, and the (optional) memo
 /// cache.
@@ -62,18 +63,15 @@ struct SearchContext {
   ProgressSink *Progress = nullptr;
 };
 
-/// Strategy interface. Implementations fill \c R.Points for every index
-/// in \c Ctx.Indices (verdicts always; objectives when estimated), the
-/// two fronts, and the per-strategy counters of \c R.Stats.
-class SearchStrategy {
-public:
-  virtual ~SearchStrategy() = default;
-  virtual StrategyKind kind() const = 0;
-  virtual void run(const SearchContext &Ctx, DseResult &R) const = 0;
-};
+// Both searches fill \c R.Points for every index in \c Ctx.Indices
+// (verdicts always; objectives when estimated), the two fronts, and the
+// per-strategy counters of \c R.Stats.
 
-/// Builds the strategy implementing \p K.
-std::unique_ptr<SearchStrategy> makeStrategy(StrategyKind K);
+/// StrategyKind::Exhaustive: fully estimates every candidate.
+void exhaustiveSearch(const SearchContext &Ctx, DseResult &R);
+
+/// StrategyKind::ParetoPrune: dominance pruning on admissible bounds.
+void paretoPruneSearch(const SearchContext &Ctx, DseResult &R);
 
 //===----------------------------------------------------------------------===//
 // Shard fronts: serialization + deterministic merge

@@ -83,9 +83,7 @@ CompileService::CompileService(ServiceOptions O) : Opts(std::move(O)) {
   if (Opts.Memoize)
     Cache = std::make_shared<dse::DseCache>();
   if (!Opts.CacheDir.empty()) {
-    PersistentCacheOptions PO;
-    PO.MaxEntries = Opts.CacheMaxEntries;
-    Persist = std::make_unique<PersistentCache>(Opts.CacheDir, PO);
+    Persist = std::make_unique<PersistentCache>(Opts.CacheDir);
     if (Cache) {
       PersistentCacheLoadStats LS;
       Stats.WarmStart = Persist->load(*Cache, &LS);

@@ -65,8 +65,6 @@ struct ServiceOptions {
   /// When non-empty, load the memo cache from this directory at startup
   /// and save it back on destruction (and on savePersistentCache()).
   std::string CacheDir;
-  /// Entry cap forwarded to the persistent layer.
-  size_t CacheMaxEntries = 1u << 20;
   /// Structured slow-request log threshold: a request whose latency
   /// exceeds this many milliseconds emits one JSON line on stderr
   /// (trace_id, op, latency_ms, ...). 0 disables the log.

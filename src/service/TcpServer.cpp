@@ -119,7 +119,7 @@ void TcpServer::run() {
   for (uint64_t Serial : Serials)
     closeConnection(Serial);
   InTeardown = false;
-  if (Opts.SaveCacheOnDisconnect && !Serials.empty())
+  if (!Serials.empty())
     Svc.savePersistentCache();
 }
 
@@ -198,8 +198,9 @@ void TcpServer::closeConnection(uint64_t Serial) {
     std::lock_guard<std::mutex> Lock(StatsM);
     ++Stats.Closed;
   }
-  if (Opts.SaveCacheOnDisconnect && !InTeardown)
-    Svc.savePersistentCache(); // Durable across abrupt server exits.
+  // Persist on every close, so the cache survives abrupt server exits.
+  if (!InTeardown)
+    Svc.savePersistentCache();
 }
 
 //===----------------------------------------------------------------------===//

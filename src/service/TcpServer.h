@@ -70,9 +70,6 @@ struct TcpServerOptions {
   /// A single request line longer than this closes the connection (after
   /// an error response) rather than buffering without bound.
   size_t MaxLineBytes = 1 << 22;
-  /// Persist the memo cache when a connection closes (mirrors the old
-  /// serial server, which saved after each connection's stream ended).
-  bool SaveCacheOnDisconnect = true;
   /// When non-zero, SO_SNDBUF for accepted connections. Tests shrink it
   /// so kernel buffering cannot mask the write pump's back-pressure.
   int SendBufferBytes = 0;

@@ -38,19 +38,20 @@
 /// spans, and `trace_id` (present when nonzero) is the emitting
 /// thread's trace::currentTraceId(). The first record of every journal
 /// is `journal-begin` carrying `schema` (kSchemaVersion); the last is
-/// `journal-end` carrying the final event count. Event kinds and their
-/// fields are documented in docs/observability.md, and
-/// docs/check_docs.py scrapes every `eventlog::emit("...")` literal
-/// under src/ to keep that table honest.
+/// `journal-end` carrying the final event count. Each kind's required
+/// payload fields are declared once, in kKindSchemas below; the kinds
+/// are documented in docs/observability.md.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAHLIA_SUPPORT_EVENTLOG_H
 #define DAHLIA_SUPPORT_EVENTLOG_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dahlia::eventlog {
@@ -62,6 +63,51 @@ namespace dahlia::eventlog {
 /// successive-halving kinds and the speculation fields of the cluster
 /// kinds; readers accept both.
 constexpr int kSchemaVersion = 2;
+
+/// The payload fields every record of a kind carries, one entry per kind
+/// this version emits. Records may carry more (see kSchemaVersion), and
+/// schema-1 records carry these too. SearchJournal::checkConsistent
+/// (`dahlia-dse-report --assert-consistent`) rejects a record of a listed
+/// kind that lacks one; docs/check_docs.py fails when an
+/// `eventlog::emit("...")` literal has no entry here.
+struct KindSchema {
+  std::string_view Kind;
+  std::array<std::string_view, 7> Fields; ///< Unused trailing slots empty.
+};
+
+inline constexpr KindSchema kKindSchemas[] = {
+    {"journal-begin", {"schema"}},
+    {"journal-end", {"events"}},
+    {"sweep-begin", {"space", "explored", "strategy", "threads"}},
+    {"sweep-end", {"explored", "accepted", "pruned", "front"}},
+    {"enumerated", {"config"}},
+    {"verdict", {"config", "accepted", "cache_hit"}},
+    {"estimate", {"config", "fidelity", "cache_hit"}},
+    {"prune", {"config", "reason", "dominator", "bound_fidelity"}},
+    {"front-enter", {"config", "front"}},
+    {"front-evict", {"config", "front", "by"}},
+    {"progress", {"phase", "done", "total", "front_size"}},
+    // Distributed DSE (src/cluster/Cluster.cpp).
+    {"cluster-begin", {"workers", "shards", "space", "strategy", "limit"}},
+    {"cluster-end",
+     {"ok", "shards_done", "retries", "reassignments", "worker_deaths",
+      "front", "front_hash"}},
+    {"shard-dispatch", {"shard", "worker", "attempt"}},
+    {"shard-reassign", {"shard", "to_worker", "attempt"}},
+    {"shard-done", {"shard", "worker", "points", "ms"}},
+    {"shard-retry", {"shard", "worker", "attempt", "reason"}},
+    {"worker-dead", {"worker", "failures"}},
+    {"cache-sync", {"workers", "verdicts", "estimates"}},
+};
+
+/// \p Kind's entry in kKindSchemas, or nullptr for a kind this version
+/// does not emit.
+constexpr const KindSchema *kindSchema(std::string_view Kind) {
+  for (const KindSchema &S : kKindSchemas)
+    if (S.Kind == Kind)
+      return &S;
+  return nullptr;
+}
 
 /// Global runtime switch. Read with a relaxed load at every emission
 /// site; flipped by journalStart*/journalStop.

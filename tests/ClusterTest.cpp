@@ -9,13 +9,15 @@
 // counts, and under injected faults (a worker killed mid-stream, a
 // worker stalled past the shard timeout, truncated frames, hostile chunk
 // streams). Faults must surface as retry/reassign/worker-dead journal
-// records and still converge to the exact front. A healthy fleet runs
-// every shard exactly once. Cache syncing converges a fleet to all-hit.
+// records and still converge to the exact front, in journals that pass
+// SearchJournal::checkConsistent. A healthy fleet runs every shard
+// exactly once. Cache syncing converges a fleet to all-hit.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cluster/Cluster.h"
 #include "cluster/FaultInject.h"
+#include "dse/Journal.h"
 
 #include "service/ServiceClient.h"
 #include "service/TcpServer.h"
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <thread>
 
 using namespace dahlia;
@@ -117,6 +120,41 @@ bool journalHasKind(const std::vector<std::string> &Lines, const char *Kind) {
     if (L.find(Needle) != std::string::npos)
       return true;
   return false;
+}
+
+/// Every violation SearchJournal::checkConsistent finds in the
+/// coordinator's part of the buffered journal \p Lines, so the cluster
+/// kinds are schema-checked against eventlog::kKindSchemas. The
+/// in-process test fleet shares the process-wide journal, so the
+/// workers' concurrent shard sweeps interleave with the coordinator's
+/// records; they are dropped and the rest renumbered, which is the
+/// journal a coordinator writes in its own process.
+std::vector<std::string>
+coordinatorViolations(const std::vector<std::string> &Lines) {
+  static const std::set<std::string> WorkerKinds = {
+      "sweep-begin", "sweep-end",   "enumerated",  "verdict", "estimate",
+      "prune",       "front-enter", "front-evict", "progress"};
+  std::vector<Json> Kept;
+  for (const std::string &L : Lines) {
+    std::optional<Json> J = Json::parse(L);
+    if (!J)
+      return {"unparseable journal line: " + L};
+    if (!WorkerKinds.count(J->at("kind").asString()))
+      Kept.push_back(std::move(*J));
+  }
+  std::vector<std::string> Renumbered;
+  for (Json &J : Kept) {
+    J["seq"] = Renumbered.size();
+    if (J.at("kind").asString() == "journal-end")
+      J["events"] = Kept.size();
+    Renumbered.push_back(J.dump());
+  }
+  std::string Err;
+  std::optional<dse::journal::SearchJournal> SJ =
+      dse::journal::SearchJournal::parse(Renumbered, &Err);
+  if (!SJ)
+    return {Err};
+  return SJ->checkConsistent();
 }
 
 } // namespace
@@ -227,7 +265,7 @@ TEST(Cluster, WorkerKilledMidStreamIsRetiredAndSweepStaysExact) {
   SO.Threads = 2;
   // The honest worker pauses well under the shard timeout in every
   // reply, so it cannot drain the queue before the killer has failed
-  // WorkerFailureLimit consecutive attempts and been retired.
+  // kWorkerFailureLimit consecutive attempts and been retired.
   FaultOptions SlowFO;
   SlowFO.Mode = FaultMode::Stall;
   SlowFO.TriggerConnections = 0;
@@ -269,6 +307,7 @@ TEST(Cluster, WorkerKilledMidStreamIsRetiredAndSweepStaysExact) {
   EXPECT_TRUE(journalHasKind(J, "shard-reassign"));
   EXPECT_TRUE(journalHasKind(J, "worker-dead"));
   EXPECT_TRUE(journalHasKind(J, "cluster-end"));
+  EXPECT_EQ(coordinatorViolations(J), std::vector<std::string>{});
 }
 
 TEST(Cluster, StalledWorkerTripsShardTimeoutAndSweepStaysExact) {
@@ -371,6 +410,8 @@ TEST(Cluster, CacheSyncConvergesFleetToAllHit) {
   expectMatchesReference(R1, Ref);
   EXPECT_GT(R1.Stats.CacheEntriesShipped, 0u);
   EXPECT_TRUE(journalHasKind(eventlog::journalLines(), "cache-sync"));
+  EXPECT_EQ(coordinatorViolations(eventlog::journalLines()),
+            std::vector<std::string>{});
 
   // Second sweep, different shard partition: every estimate any worker
   // needs was shipped to it, so the whole fleet runs from cache.

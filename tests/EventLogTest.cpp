@@ -9,7 +9,9 @@
 // well-framed (journal-begin schema header, journal-end count trailer),
 // file-mode journals round-trip through the SearchJournal reader, a
 // Threads=1 sweep replays to a byte-identical journal modulo timing
-// fields, and why-pruned explanations name the dominating configuration.
+// fields, why-pruned explanations name the dominating configuration, and
+// checkConsistent rejects every corruption class (framing, sequencing,
+// envelope types, kind syntax, and missing required payload fields).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <set>
@@ -329,6 +333,92 @@ TEST(EventLog, SweepJournalIsConsistentAndExplainsPrunes) {
   Json FrontW =
       J->whyPruned(static_cast<uint64_t>(Front.front().asInt()));
   EXPECT_EQ(FrontW.at("status").asString(), "front-member");
+}
+
+//===----------------------------------------------------------------------===//
+// checkConsistent: every corruption class is caught
+//===----------------------------------------------------------------------===//
+
+/// \p Lines with \p Edit applied to the first record of kind \p Kind.
+std::vector<std::string>
+editFirst(std::vector<std::string> Lines, const std::string &Kind,
+          const std::function<void(Json::Object &)> &Edit) {
+  for (std::string &L : Lines) {
+    Json J = parseLine(L);
+    if (J.at("kind").asString() != Kind)
+      continue;
+    Json::Object O = J.asObject();
+    Edit(O);
+    L = Json(std::move(O)).dump();
+    return Lines;
+  }
+  ADD_FAILURE() << "no '" << Kind << "' record to corrupt";
+  return Lines;
+}
+
+std::vector<std::string> violations(const std::vector<std::string> &Lines) {
+  std::string Err;
+  std::optional<journal::SearchJournal> J =
+      journal::SearchJournal::parse(Lines, &Err);
+  if (!J)
+    return {Err};
+  return J->checkConsistent();
+}
+
+TEST(EventLog, CheckConsistentRejectsEachCorruption) {
+  auto Space = sliceSpace(400);
+  const std::vector<std::string> Pristine = journaledSweep(
+      sliceProblem(Space), StrategyKind::ParetoPrune, /*Threads=*/1);
+  ASSERT_EQ(violations(Pristine), std::vector<std::string>{});
+
+  auto Erase = [](const char *Key) {
+    return [Key](Json::Object &O) { O.erase(Key); };
+  };
+  struct Case {
+    const char *Name;
+    std::vector<std::string> Lines;
+    const char *Expected; ///< A substring of the violation it must raise.
+  };
+  const Case Cases[] = {
+      {"no journal-begin", {Pristine.begin() + 1, Pristine.end()},
+       "expected journal-begin"},
+      {"no journal-end", {Pristine.begin(), Pristine.end() - 1},
+       "expected journal-end"},
+      {"seq gap", editFirst(Pristine, "estimate",
+                            [](Json::Object &O) {
+                              O["seq"] = O["seq"].asInt() + 1000;
+                            }),
+       "seq discontinuity"},
+      {"string seq", editFirst(Pristine, "estimate",
+                               [](Json::Object &O) {
+                                 O["seq"] = std::to_string(O["seq"].asInt());
+                               }),
+       "envelope field 'seq' missing or not an integer"},
+      {"missing ts_us", editFirst(Pristine, "estimate", Erase("ts_us")),
+       "envelope field 'ts_us' missing or not an integer"},
+      {"malformed kind", editFirst(Pristine, "verdict",
+                                   [](Json::Object &O) {
+                                     O["kind"] = "Verdict";
+                                   }),
+       "malformed kind \"Verdict\""},
+      {"prune without bound_fidelity",
+       editFirst(Pristine, "prune", Erase("bound_fidelity")),
+       "prune lacks required field 'bound_fidelity'"},
+      {"verdict without cache_hit",
+       editFirst(Pristine, "verdict", Erase("cache_hit")),
+       "verdict lacks required field 'cache_hit'"},
+      {"sweep-begin without strategy",
+       editFirst(Pristine, "sweep-begin", Erase("strategy")),
+       "sweep-begin lacks required field 'strategy'"},
+  };
+  for (const Case &C : Cases) {
+    std::vector<std::string> V = violations(C.Lines);
+    EXPECT_TRUE(std::any_of(V.begin(), V.end(),
+                            [&](const std::string &S) {
+                              return S.find(C.Expected) != std::string::npos;
+                            }))
+        << C.Name << ": no violation mentions \"" << C.Expected << "\"";
+  }
 }
 
 } // namespace
