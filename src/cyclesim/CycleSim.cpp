@@ -13,10 +13,9 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
 #include <numeric>
+#include <vector>
 
 using namespace dahlia;
 using namespace dahlia::cyclesim;
@@ -30,33 +29,20 @@ namespace {
 /// lower-bound guarantee still holds.
 constexpr uint64_t kMaxWalkGroups = 1u << 20;
 
-/// Everything the walk needs about one nest, resolved once.
+/// Everything the walk needs about one nest beyond its resolved form.
 struct NestPlan {
-  KernelSpec::NestView N;
-  std::vector<PeOffsets> Pes;
-  /// Access-instance keys, aligned with *N.Body.
-  std::vector<std::vector<InstanceKey>> Instances;
-  /// Sequential groups per loop (ceil(trip / unroll)), aligned with
-  /// *N.Loops.
-  std::vector<int64_t> Groups;
-  /// Walked groups per loop: min(Groups, conflict-pattern period).
+  NestInstances Instances;
+  /// Walked groups per loop: min(ceil(trip / unroll), conflict-pattern
+  /// period).
   std::vector<int64_t> Caps;
 };
 
-NestPlan planNest(const KernelSpec &K, const KernelSpec::NestView &N) {
-  NestPlan P;
-  P.N = N;
-  P.Pes = enumeratePes(N, 2048);
-  P.Instances.reserve(N.Body->size());
-  for (const Access &A : *N.Body) {
-    assert(K.findArray(A.Array) && "access to unknown array");
-    P.Instances.push_back(accessInstances(N, A, P.Pes));
-  }
-
-  for (size_t L = 0; L != N.Loops->size(); ++L) {
-    const Loop &Lp = (*N.Loops)[L];
-    int64_t U = std::max<int64_t>(Lp.Unroll, 1);
-    int64_t G = (Lp.Trip + U - 1) / U;
+void planNest(const ResolvedKernel &R, const ResolvedNest &N, NestPlan &P) {
+  accessInstances(R, N, P.Instances);
+  P.Caps.clear();
+  for (size_t L = 0; L != N.loops(); ++L) {
+    int64_t U = std::max<int64_t>(N.Unroll[L], 1);
+    int64_t G = (N.Trip[L] + U - 1) / U;
     G = std::max<int64_t>(G, 1);
 
     // The bank an affine access resolves to depends on this loop's group
@@ -65,26 +51,19 @@ NestPlan planNest(const KernelSpec &K, const KernelSpec::NestView &N) {
     // Walking one period is therefore exactly as informative as walking
     // every group.
     int64_t Period = 1;
-    for (const Access &A : *N.Body) {
-      const ArraySpec *Arr = K.findArray(A.Array);
-      if (!Arr)
-        continue;
-      for (size_t D = 0; D != A.Idx.size(); ++D) {
-        int64_t Pt = Arr->Partition[D];
-        if (Pt <= 1)
+    for (const ResolvedAccess &A : N.Body) {
+      const ResolvedArray &Arr = R.Arrays[A.Array];
+      for (size_t D = 0; D != Arr.Rank; ++D) {
+        int64_t Pt = R.Partition[Arr.FirstDim + D];
+        int64_t Coeff = N.row(A.FirstRow + D)[L];
+        if (Pt <= 1 || Coeff == 0)
           continue;
-        auto It = A.Idx[D].Coeffs.find(Lp.Var);
-        if (It == A.Idx[D].Coeffs.end())
-          continue;
-        int64_t Step = std::abs(It->second) * U;
-        int64_t DimPeriod = Pt / std::gcd(Pt, Step);
+        int64_t DimPeriod = Pt / std::gcd(Pt, std::abs(Coeff) * U);
         Period = std::lcm(Period, DimPeriod);
       }
     }
-    P.Groups.push_back(G);
     P.Caps.push_back(std::min(G, Period));
   }
-  return P;
 }
 
 } // namespace
@@ -97,9 +76,16 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   SimResult R;
   uint64_t Budget = kMaxWalkGroups;
 
+  // Per-thread scratch, re-resolved on every call (see hlsim::estimate).
+  thread_local ResolvedKernel RK;
+  thread_local NestPlan P;
+  resolve(K, RK);
+
   double Cycles = 0;
   for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-    const NestPlan P = planNest(K, K.nest(NI));
+    const KernelSpec::NestView N = K.nest(NI);
+    const ResolvedNest &RN = RK.Nests[NI];
+    planNest(RK, RN, P);
     NestSim S;
 
     // Walk box: one conflict period per loop (clipped to the loop's real
@@ -130,12 +116,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
     //===----------------------------------------------------------------===//
     double II = 1.0;
     std::vector<int64_t> Coord(P.Caps.size(), 0);
-    std::map<std::string, int64_t> SeqIter;
-    for (size_t L = 0; L != P.Caps.size(); ++L)
-      SeqIter[(*P.N.Loops)[L].Var] = 0;
     for (uint64_t G = 0; G != Walk; ++G) {
-      double Needed =
-          arbitrateGroup(K, P.N, P.Instances, SeqIter, S.MaxPortPressure);
+      double Needed = arbitrateGroup(RK, RN, P.Instances, Coord.data(),
+                                     S.MaxPortPressure);
       II = std::max(II, Needed);
       ++S.WalkedGroups;
       if (Needed > 1.0) {
@@ -145,7 +128,6 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
       // Odometer step, innermost loop fastest.
       for (size_t L = P.Caps.size(); L-- > 0;) {
         Coord[L] = (Coord[L] + 1) % P.Caps[L];
-        SeqIter[(*P.N.Loops)[L].Var] = Coord[L];
         if (Coord[L] != 0)
           break;
       }
@@ -153,9 +135,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
     // Budget-truncated walks clamp against the analytic sampled scan so
     // Full <= Exact survives even the pathological case.
     if (!S.PeriodComplete)
-      II = std::max(II, sampledConflictII(K, P.N, P.Instances,
+      II = std::max(II, sampledConflictII(RK, RN, P.Instances,
                                           CM.PortConflictSamples));
-    if (P.N.HasAccumulator && K.FloatingPoint)
+    if (N.HasAccumulator && K.FloatingPoint)
       II = std::max(II, 1.0 + CM.AccumulatorII);
     S.II = II;
     R.II = std::max(R.II, II);
@@ -165,9 +147,9 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
     // nestShape, so the only difference between Full and Exact cycles is
     // sampled-vs-observed II.
     //===----------------------------------------------------------------===//
-    NestShape Shape = nestShape(P.N, CM.LoopOverheadCycles);
+    NestShape Shape = nestShape(RN, CM.LoopOverheadCycles);
     S.Groups = Shape.Groups;
-    S.EffectiveII = std::max(II, P.N.IterationLatency);
+    S.EffectiveII = std::max(II, N.IterationLatency);
     S.Cycles = Shape.Groups * S.EffectiveII + Shape.OuterOverhead;
     Cycles += Shape.Groups * S.EffectiveII + Shape.OuterOverhead;
     R.WalkedGroups += S.WalkedGroups;
@@ -182,7 +164,7 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   // KernelAnalysis.h) — without it the Full rung could overtake Exact on
   // noisy points.
   if (CM.ModelHeuristicNoise &&
-      !(unrollDividesBanking(K) && bankingDividesSizes(K)))
+      !(RK.UnrollDividesBanking && bankingDividesSizes(K)))
     Cycles *= heuristicLatencyMultiplier(K, CM.NoiseAmplitudeLatency);
 
   // Conflict-period walk accounting: how many iteration groups the

@@ -7,8 +7,11 @@
 
 #include "driver/SpecExtractor.h"
 
+#include "hlsim/KernelAnalysis.h"
+
 #include <map>
 #include <optional>
+#include <string>
 
 using namespace dahlia;
 using namespace dahlia::driver;
@@ -195,9 +198,9 @@ public:
                         std::make_move_iterator(Nests.end()));
   }
 
-  /// Memory names the program declares; accesses to anything else (local
-  /// registers) are not memory traffic.
-  std::map<std::string, bool> KnownArrays;
+  /// Partition factors of the memories the program declares; accesses to
+  /// anything else (local registers) are not memory traffic.
+  std::map<std::string, std::vector<int64_t>> KnownArrays;
 
 private:
   /// The nest currently being extended (created on demand so straight-line
@@ -242,14 +245,45 @@ private:
         visitExpr(*I);
       }
     } else if (const auto *PA = E.as<PhysAccessExpr>()) {
-      Mem = PA->mem();
-      Idx.push_back(toAffine(PA->offset()));
+      // Physical accesses never go through views (the checker rejects
+      // them), so PA->mem() is the memory itself.
+      auto It = KnownArrays.find(PA->mem());
+      if (It != KnownArrays.end())
+        cur().Body.push_back({PA->mem(),
+                              physicalIndex(It->second, toAffine(PA->bank()),
+                                            toAffine(PA->offset())),
+                              IsWrite});
+      return;
     }
     auto It = ViewRoot.find(Mem);
     if (It != ViewRoot.end())
       Mem = It->second;
     if (KnownArrays.count(Mem))
       cur().Body.push_back({Mem, std::move(Idx), IsWrite});
+  }
+
+  /// Logical indices for the physical access `m{Bank}[Offset]` into a
+  /// memory partitioned by \p Part: one index per dimension whose residue
+  /// modulo that dimension's banking is the dimension's share of the
+  /// (row-major, statically known) flattened bank — Idx0 = Offset * P0 +
+  /// b0 and Idxd = bd — so the cost models charge exactly the bank the
+  /// checker charged.
+  static std::vector<AffineExpr> physicalIndex(const std::vector<int64_t> &Part,
+                                               const AffineExpr &Bank,
+                                               AffineExpr Offset) {
+    std::vector<AffineExpr> Idx(Part.size());
+    int64_t Rest = Bank.Const;
+    for (size_t D = Part.size(); D-- > 1;) {
+      Idx[D] = AffineExpr::constant(hlsim::floorMod(Rest, Part[D]));
+      Rest = (Rest - Idx[D].Const) / Part[D];
+    }
+    if (!Part.empty()) {
+      for (auto &[Var, Coeff] : Offset.Coeffs)
+        Coeff *= Part[0];
+      Offset.Const = Offset.Const * Part[0] + Rest;
+      Idx[0] = std::move(Offset);
+    }
+    return Idx;
   }
 
   /// Converts an index expression to affine form; non-affine subterms
@@ -429,6 +463,7 @@ dahlia::driver::extractKernelSpec(const Program &P, const std::string &Name) {
   K.FloatingPoint = false;
 
   Extractor Ex;
+  int64_t TotalBanks = 0;
   for (const ExternDecl &D : P.Decls) {
     if (!D.Ty || !D.Ty->isMem())
       continue;
@@ -442,7 +477,23 @@ dahlia::driver::extractKernelSpec(const Program &P, const std::string &Name) {
     A.ElemBits = elemBits(*D.Ty->memElem());
     if (D.Ty->memElem()->isFloat() || D.Ty->memElem()->isDouble())
       K.FloatingPoint = true;
-    Ex.KnownArrays[D.Name] = true;
+    // The cost models count bank pressure densely over every bank.
+    int64_t Banks = 1;
+    for (int64_t P : A.Partition) {
+      if (P < 1 || Banks > hlsim::kMaxTotalBanks / P) {
+        Banks = hlsim::kMaxTotalBanks + 1;
+        break;
+      }
+      Banks *= P;
+    }
+    TotalBanks += Banks;
+    if (TotalBanks > hlsim::kMaxTotalBanks)
+      return Error(ErrorKind::Internal,
+                   "cannot estimate memory '" + D.Name +
+                       "': the kernel's memories would exceed " +
+                       std::to_string(hlsim::kMaxTotalBanks) + " banks",
+                   D.Loc);
+    Ex.KnownArrays[D.Name] = A.Partition;
     K.Arrays.push_back(std::move(A));
   }
 
@@ -453,5 +504,17 @@ dahlia::driver::extractKernelSpec(const Program &P, const std::string &Name) {
   if (K.Arrays.empty() && K.Loops.empty())
     return Error(ErrorKind::Internal,
                  "program has no interface memories or loops to estimate");
+  // Views that reshape a memory (split) reach it with another number of
+  // indices; the affine cost models cannot attribute such accesses.
+  for (size_t NI = 0; NI != K.nestCount(); ++NI)
+    for (const hlsim::Access &A : *K.nest(NI).Body) {
+      size_t Rank = K.findArray(A.Array)->Partition.size();
+      if (A.Idx.size() != Rank)
+        return Error(ErrorKind::Internal,
+                     "cannot estimate an access to '" + A.Array + "' with " +
+                         std::to_string(A.Idx.size()) +
+                         " index(es): the memory has " +
+                         std::to_string(Rank) + " dimension(s)");
+    }
   return K;
 }

@@ -13,9 +13,8 @@
 #include "support/StableHash.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
+#include <vector>
 
 using namespace dahlia;
 using namespace dahlia::hlsim;
@@ -35,8 +34,15 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   const bool ScanPorts = CM.ModelPortConflicts && CM.PortConflictSamples > 0;
   const bool NeedInstances = CM.ModelMuxCost || ScanPorts;
 
+  // Per-thread scratch: every estimate re-resolves into it, so nothing
+  // about a spec outlives the call but the buffers' capacity.
+  thread_local ResolvedKernel R;
+  thread_local NestInstances Instances;
+  thread_local std::vector<int64_t> BankFanIn, Reach;
+  resolve(K, R);
+  BankFanIn.assign(NeedInstances ? static_cast<size_t>(R.TotalBanks) : 0, 0);
+
   double MuxLut = 0;
-  std::map<std::string, std::map<int64_t, int64_t>> BankFanIn;
   double II = 1.0;     ///< Max initiation interval across nests.
   double Cycles = 0;   ///< Serial nest latencies, summed.
   double PeLut = 0;    ///< Unrolled arithmetic LUTs, summed over nests.
@@ -51,32 +57,34 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
 
   for (size_t NI = 0; NI != K.nestCount(); ++NI) {
     const KernelSpec::NestView N = K.nest(NI);
+    const ResolvedNest &RN = R.Nests[NI];
     const double UNest = static_cast<double>(N.totalUnroll());
     SumPe += UNest;
-    LoopLevels += N.Loops->size();
-
-    const std::vector<PeOffsets> Pes =
-        NeedInstances ? enumeratePes(N, 2048) : std::vector<PeOffsets>();
+    LoopLevels += RN.loops();
 
     //===----------------------------------------------------------------===//
     // Bank reachability (mechanism 2): mux and arbitration sizing.
     //===----------------------------------------------------------------===//
-    std::vector<std::vector<InstanceKey>> Instances;
     if (NeedInstances) {
-      Instances.reserve(N.Body->size());
-      for (const Access &A : *N.Body) {
-        const ArraySpec *Arr = K.findArray(A.Array);
-        assert(Arr && "access to unknown array");
-        assert(A.Idx.size() == Arr->DimSizes.size() &&
-               "access arity mismatch");
-        Instances.push_back(accessInstances(N, A, Pes));
-        for (const InstanceKey &Key : Instances.back()) {
-          std::vector<int64_t> Reach = reachableBanks(N, A, *Arr, Key);
+      accessInstances(R, RN, Instances);
+      for (size_t AI = 0; AI != RN.Body.size(); ++AI) {
+        const ResolvedAccess &A = RN.Body[AI];
+        const ResolvedArray &Arr = R.Arrays[A.Array];
+        const NestInstances::Span &S = Instances.Accesses[AI];
+        for (size_t Row = 0; Row != S.Rows; ++Row) {
+          reachableBanks(R, RN, A,
+                         Instances.Residues.data() + S.FirstRes +
+                             Row * Arr.Rank,
+                         Reach);
+          const int64_t Mult = Instances.Mult[S.FirstRow + Row];
+          // One add per instance, not one product per row: the rounded
+          // sum must not depend on how instances share residue rows.
           if (Reach.size() > 1)
-            MuxLut += CM.MuxLutPerInputBit *
-                      static_cast<double>(Reach.size()) * Arr->ElemBits;
+            for (int64_t M = 0; M != Mult; ++M)
+              MuxLut += CM.MuxLutPerInputBit *
+                        static_cast<double>(Reach.size()) * Arr.ElemBits;
           for (int64_t B : Reach)
-            ++BankFanIn[Arr->Name][B];
+            BankFanIn[static_cast<size_t>(Arr.FirstBank + B)] += Mult;
         }
       }
     }
@@ -88,8 +96,9 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     // same function over a superset of these points.
     //===----------------------------------------------------------------===//
     double NestII =
-        ScanPorts ? sampledConflictII(K, N, Instances, CM.PortConflictSamples)
-                  : 1.0;
+        ScanPorts
+            ? sampledConflictII(R, RN, Instances, CM.PortConflictSamples)
+            : 1.0;
     if (N.HasAccumulator && K.FloatingPoint)
       NestII = std::max(NestII, 1.0 + CM.AccumulatorII);
     II = std::max(II, NestII);
@@ -97,7 +106,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     //===----------------------------------------------------------------===//
     // Latency of this nest (shape shared with the simulator).
     //===----------------------------------------------------------------===//
-    NestShape Shape = nestShape(N, CM.LoopOverheadCycles);
+    NestShape Shape = nestShape(RN, CM.LoopOverheadCycles);
     Cycles += Shape.Groups * std::max(NestII, N.IterationLatency) +
               Shape.OuterOverhead;
     NestPe.push_back(UNest);
@@ -118,31 +127,22 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   E.II = II;
 
   double ArbLut = 0;
-  for (const auto &[ArrName, Fans] : BankFanIn) {
-    (void)ArrName;
-    for (const auto &[Bank, FanIn] : Fans) {
-      (void)Bank;
-      if (FanIn > 1)
-        ArbLut += CM.ArbLutPerRequester * static_cast<double>(FanIn);
-    }
-  }
+  for (int64_t FanIn : BankFanIn)
+    if (FanIn > 1)
+      ArbLut += CM.ArbLutPerRequester * static_cast<double>(FanIn);
 
   //===------------------------------------------------------------------===//
   // Rule checks and heuristic noise (mechanism 4).
   //===------------------------------------------------------------------===//
-  const bool RuleUnroll = unrollDividesBanking(K);
+  const bool RuleUnroll = R.UnrollDividesBanking;
   const bool RuleSize = bankingDividesSizes(K);
   E.Predictable = RuleUnroll && RuleSize;
 
   //===------------------------------------------------------------------===//
   // Area (mechanisms 2 and 3).
   //===------------------------------------------------------------------===//
-  int64_t TotalBanks = 0;
-  for (const ArraySpec &A : K.Arrays)
-    TotalBanks += A.totalBanks();
-
   double Lut = CM.BaseControlLut + CM.LutPerLoop * LoopLevels +
-               CM.LutPerBank * static_cast<double>(TotalBanks);
+               CM.LutPerBank * static_cast<double>(R.TotalBanks);
   Lut += PeLut;
   if (CM.ModelMuxCost)
     Lut += MuxLut + ArbLut;
@@ -173,13 +173,11 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     double ElemsPerBank = std::ceil(static_cast<double>(A.totalElems()) /
                                     static_cast<double>(Banks));
     double BitsPerBank = ElemsPerBank * A.ElemBits;
-    for (int64_t B = 0; B != Banks; ++B) {
-      if (BitsPerBank <= static_cast<double>(CM.LutMemThresholdBits))
-        E.LutMem += static_cast<int64_t>(std::ceil(BitsPerBank / 32.0));
-      else
-        E.Bram += static_cast<int64_t>(
-            std::ceil(BitsPerBank / (CM.BramKbits * 1024.0)));
-    }
+    if (BitsPerBank <= static_cast<double>(CM.LutMemThresholdBits))
+      E.LutMem += Banks * static_cast<int64_t>(std::ceil(BitsPerBank / 32.0));
+    else
+      E.Bram += Banks * static_cast<int64_t>(
+                            std::ceil(BitsPerBank / (CM.BramKbits * 1024.0)));
   }
 
   //===------------------------------------------------------------------===//
@@ -214,7 +212,6 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   E.Lut = static_cast<int64_t>(std::llround(Lut));
   E.Ff = static_cast<int64_t>(std::llround(
       0.8 * Lut + CM.FfPerPe * SumPe + CM.PipelineDepth * 32.0));
-  (void)CM.FfPerLut;
   E.Cycles = Cycles;
   E.RuntimeMs = Cycles / (K.ClockMHz * 1e3);
   return E;

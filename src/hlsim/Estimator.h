@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The HLS estimation substrate standing in for Vivado HLS's estimation
-/// mode (see DESIGN.md, "Substitutions"). It reproduces the mechanisms the
-/// paper's Section 2 analysis identifies:
+/// mode (see docs/architecture.md, "Cost models"). It reproduces the
+/// mechanisms the paper's Section 2 analysis identifies:
 ///
 ///  1. banks have a fixed number of ports, so parallel PEs that resolve to
 ///     the same bank serialize (raising the initiation interval);
@@ -73,7 +73,6 @@ struct CostModel {
   double EpilogueLutPerPe = 46.0;
 
   // Registers.
-  double FfPerLut = 0.95;
   double FfPerPe = 64.0;
 
   // Memory.

@@ -11,7 +11,9 @@
 
 #include "driver/CompilerPipeline.h"
 
+#include "cyclesim/CycleSim.h"
 #include "driver/SpecExtractor.h"
+#include "hlsim/KernelAnalysis.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -157,6 +159,78 @@ TEST(Driver, SpecExtractorReadsKernelStructure) {
   }
   EXPECT_TRUE(SawARead);
   EXPECT_TRUE(SawOutWrite);
+}
+
+TEST(Driver, PhysicalBankAccessChargesTheCheckedBank) {
+  // a{1}[0] names flattened bank 1 of a 2x2-banked memory: row 0, column
+  // 1. The checker charges that bank; so must both cost models.
+  const char *Src = "decl a: bit<32>[8 bank 2][8 bank 2];\n"
+                    "for (let i = 0..8) { a{1}[0] := 1; }\n";
+  CompileResult R = CompilerPipeline().simulate(Src);
+  ASSERT_TRUE(R.ok()) << R.firstError();
+  ASSERT_TRUE(R.Est.has_value());
+  ASSERT_TRUE(R.Sim.has_value());
+  EXPECT_EQ(R.Sim->II, 1.0);
+
+  // The same static bank with an offset that moves every iteration, on a
+  // 1-D memory: the bank must still never move.
+  const char *Moving = "decl b: bit<32>[8 bank 4];\n"
+                       "for (let i = 0..2) { b{3}[i] := 1; }\n";
+  for (auto [Text, Bank] : {std::pair{Src, int64_t(1)},
+                            std::pair{Moving, int64_t(3)}}) {
+    SCOPED_TRACE(Text);
+    CompileResult C = CompilerPipeline().check(Text);
+    ASSERT_TRUE(C.ok()) << C.firstError();
+    Result<hlsim::KernelSpec> Spec = extractKernelSpec(*C.Prog);
+    ASSERT_TRUE(bool(Spec)) << Spec.error().str();
+    ASSERT_EQ(Spec->Body.size(), 1u);
+    ASSERT_EQ(Spec->Body[0].Idx.size(), Spec->Arrays[0].Partition.size());
+
+    hlsim::ResolvedKernel RK;
+    hlsim::resolve(*Spec, RK);
+    hlsim::NestInstances Inst;
+    hlsim::accessInstances(RK, RK.Nests[0], Inst);
+    ASSERT_EQ(Inst.Accesses.size(), 1u);
+    ASSERT_EQ(Inst.Accesses[0].Rows, 1u);
+    std::vector<int64_t> Reach;
+    hlsim::reachableBanks(RK, RK.Nests[0], RK.Nests[0].Body[0],
+                          Inst.Residues.data(), Reach);
+    EXPECT_EQ(Reach, std::vector<int64_t>{Bank});
+    // Every walked group puts its one request on that bank.
+    cyclesim::SimResult Sim = cyclesim::simulate(*Spec);
+    ASSERT_EQ(Sim.Nests.size(), 1u);
+    EXPECT_EQ(Sim.Nests[0].WalkedGroups, 1u);
+    EXPECT_EQ(Sim.Nests[0].MaxPortPressure, 1);
+  }
+}
+
+TEST(Driver, SpecExtractorRejectsReshapingViews) {
+  // A split view reaches its 1-D memory with two indices; extraction
+  // refuses it with an error instead of handing the cost models an
+  // access whose arity does not match its array.
+  const char *Src = "decl A: float[12 bank 4];\n"
+                    "view sp = split A[by 2];\n"
+                    "for (let i = 0..6) unroll 2 {\n"
+                    "  let v = sp[0][i];\n"
+                    "}\n";
+  CompileResult C = CompilerPipeline().check(Src);
+  ASSERT_TRUE(C.ok()) << C.firstError();
+  Result<hlsim::KernelSpec> Spec = extractKernelSpec(*C.Prog);
+  ASSERT_FALSE(bool(Spec));
+  EXPECT_NE(Spec.error().message().find("'A'"), std::string::npos);
+  CompileResult Est = CompilerPipeline().estimate(Src);
+  EXPECT_FALSE(Est.ok());
+}
+
+TEST(Driver, SpecExtractorRejectsMoreBanksThanTheCostModelsCount) {
+  // 2^21 banks: well-typed, but past the dense bank buffers' limit.
+  CompileResult C = CompilerPipeline().check(
+      "decl A: bit<32>[2048 bank 2048][1024 bank 1024];\n"
+      "for (let i = 0..8) { A[i][0] := 1; }\n");
+  ASSERT_TRUE(C.ok()) << C.firstError();
+  Result<hlsim::KernelSpec> Spec = extractKernelSpec(*C.Prog);
+  ASSERT_FALSE(bool(Spec));
+  EXPECT_NE(Spec.error().message().find("'A'"), std::string::npos);
 }
 
 TEST(Driver, SpecExtractorRejectsUnestimableProgram) {

@@ -184,6 +184,28 @@ TEST(Service, CheckEstimateLowerAnswer) {
   EXPECT_FALSE(ParseErr.R.Errors.empty());
 }
 
+TEST(Service, PhysicalBankAccessEstimateKeepsServing) {
+  // A well-typed physical-bank access into a 2-D memory: the estimate and
+  // simulate requests get answers, and the service keeps answering.
+  CompileService Svc(testOptions());
+  ServiceClient C(Svc);
+  const char *Phys = "decl a: bit<32>[8 bank 2][8 bank 2];\n"
+                     "for (let i = 0..8) { a{1}[0] := 1; }\n";
+  ClientResponse Est = C.estimate(Phys);
+  ASSERT_TRUE(Est.R.Ok);
+  ASSERT_TRUE(Est.R.Est.has_value());
+  EXPECT_GT(Est.R.Est->Cycles, 0.0);
+  Request Sim;
+  Sim.Kind = Op::Simulate;
+  Sim.Source = Phys;
+  ClientResponse Simulated = C.call(Sim);
+  ASSERT_TRUE(Simulated.R.Ok);
+  ASSERT_TRUE(Simulated.R.Sim.has_value());
+  EXPECT_EQ(Simulated.R.Sim->II, 1.0);
+  EXPECT_TRUE(C.check(AcceptedSrc).R.Ok);
+  EXPECT_TRUE(C.estimate(AcceptedSrc).R.Ok);
+}
+
 TEST(Service, EstimateAgreesWithPipeline) {
   CompileService Svc(testOptions());
   ServiceClient C(Svc);
@@ -1285,7 +1307,7 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
   ASSERT_TRUE(Srv.start(&Err)) << Err;
   std::thread Loop([&] { Srv.run(); });
 
-  // Watcher connection: a bounded stream of 6 records at 200ms. The
+  // Watcher connection: a bounded stream of 12 records at 100ms. The
   // call blocks until the terminal line, so it runs on its own thread
   // while the main thread drives a sweep through a second connection.
   ClientResponse WatchR;
@@ -1298,12 +1320,13 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
     std::istream In(&Buf);
     std::ostream Out(&Buf);
     ServiceClient C(In, Out);
-    WatchR = C.watch(/*Stream=*/true, /*Count=*/6, /*IntervalMs=*/200);
+    WatchR = C.watch(/*Stream=*/true, /*Count=*/12, /*IntervalMs=*/100);
     WatchOk.store(true);
   });
 
   // Let the watch registration land in an earlier epoch, then run a
-  // sweep long enough to span several watch intervals.
+  // sweep long enough to span several watch intervals: the whole space,
+  // which takes well over half a second at two threads.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   {
     int Fd = connectLoopback(Srv.port());
@@ -1312,9 +1335,9 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
     std::istream In(&Buf);
     std::ostream Out(&Buf);
     ServiceClient C(In, Out);
-    ClientResponse Sweep = C.dseSweep("gemm-blocked", 8000, 2);
+    ClientResponse Sweep = C.dseSweep("gemm-blocked", 0, 2);
     ASSERT_TRUE(Sweep.R.Ok);
-    EXPECT_EQ(Sweep.R.Sweep.at("explored").asInt(), 8000);
+    EXPECT_EQ(Sweep.R.Sweep.at("explored").asInt(), 32000);
   }
   Watcher.join();
   Srv.stop();
@@ -1325,7 +1348,7 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
   EXPECT_TRUE(WatchR.Streamed);
   const std::vector<Json> &Recs =
       WatchR.Raw.at("progress_records").asArray();
-  ASSERT_EQ(Recs.size(), 6u);
+  ASSERT_EQ(Recs.size(), 12u);
   size_t Live = 0;
   for (const Json &R : Recs) {
     EXPECT_TRUE(R.contains("phase"));
