@@ -72,7 +72,6 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   TRACE_SPAN("cyclesim.simulate");
   static metrics::Counter &Sims = metrics::counter("cyclesim.simulations");
   Sims.inc();
-  const CostModel CM;
   SimResult R;
   uint64_t Budget = kMaxWalkGroups;
 
@@ -82,8 +81,8 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   resolve(K, RK);
 
   double Cycles = 0;
-  for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-    const KernelSpec::NestView N = K.nest(NI);
+  for (size_t NI = 0; NI != K.Nests.size(); ++NI) {
+    const LoopNest &N = K.Nests[NI];
     const ResolvedNest &RN = RK.Nests[NI];
     planNest(RK, RN, P);
     NestSim S;
@@ -132,13 +131,13 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
           break;
       }
     }
-    // Budget-truncated walks clamp against the analytic sampled scan so
-    // Full <= Exact survives even the pathological case.
+    // Budget-truncated walks clamp against the Full rung's sampled scan
+    // so Full <= Exact survives even the pathological case.
     if (!S.PeriodComplete)
       II = std::max(II, sampledConflictII(RK, RN, P.Instances,
-                                          CM.PortConflictSamples));
+                                          CostModel().PortConflictSamples));
     if (N.HasAccumulator && K.FloatingPoint)
-      II = std::max(II, 1.0 + CM.AccumulatorII);
+      II = std::max(II, 1.0 + model::AccumulatorII);
     S.II = II;
     R.II = std::max(R.II, II);
 
@@ -147,7 +146,7 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
     // nestShape, so the only difference between Full and Exact cycles is
     // sampled-vs-observed II.
     //===----------------------------------------------------------------===//
-    NestShape Shape = nestShape(RN, CM.LoopOverheadCycles);
+    NestShape Shape = nestShape(RN);
     S.Groups = Shape.Groups;
     S.EffectiveII = std::max(II, N.IterationLatency);
     S.Cycles = Shape.Groups * S.EffectiveII + Shape.OuterOverhead;
@@ -155,7 +154,7 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
     R.WalkedGroups += S.WalkedGroups;
     R.Nests.push_back(std::move(S));
   }
-  Cycles += CM.PipelineDepth;
+  Cycles += model::PipelineDepth;
   Cycles += K.ExtraSerialCycles;
 
   // Rule-violating configurations run on the same erratically-synthesized
@@ -163,9 +162,8 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   // inherits the identical deterministic multiplier (>= 1, shared via
   // KernelAnalysis.h) — without it the Full rung could overtake Exact on
   // noisy points.
-  if (CM.ModelHeuristicNoise &&
-      !(RK.UnrollDividesBanking && bankingDividesSizes(K)))
-    Cycles *= heuristicLatencyMultiplier(K, CM.NoiseAmplitudeLatency);
+  if (!(RK.UnrollDividesBanking && bankingDividesSizes(K)))
+    Cycles *= heuristicLatencyMultiplier(K);
 
   // Conflict-period walk accounting: how many iteration groups the
   // simulator actually executed (vs. the analytic scan's fixed samples).

@@ -47,6 +47,9 @@ unsigned elemBits(const Type &Elem) {
 /// contribute their accesses and ops but no extra levels.
 class Extractor {
 public:
+  /// Extends \p K, whose nest list starts as one empty nest.
+  explicit Extractor(hlsim::KernelSpec &K) : K(K) {}
+
   void visitCmd(const Cmd &C) {
     switch (C.kind()) {
     case CmdKind::Let: {
@@ -171,31 +174,13 @@ public:
         visitExpr(*A);
       break;
     case ExprKind::FloatLit:
-      FloatingPoint = true;
+      K.FloatingPoint = true;
       break;
     default:
       break;
     }
     if (E.type() && (E.type()->isFloat() || E.type()->isDouble()))
-      FloatingPoint = true;
-  }
-
-  /// Moves the accumulated nests into \p K: the first nest fills the flat
-  /// legacy fields, the rest become ExtraNests.
-  void finish(hlsim::KernelSpec &K) {
-    if (FloatingPoint)
       K.FloatingPoint = true;
-    if (Nests.empty())
-      return;
-    hlsim::LoopNest &First = Nests.front();
-    K.Loops = std::move(First.Loops);
-    K.Body = std::move(First.Body);
-    K.MulOps = First.MulOps;
-    K.AddOps = First.AddOps;
-    K.HasAccumulator = First.HasAccumulator;
-    K.IterationLatency = First.IterationLatency;
-    K.ExtraNests.assign(std::make_move_iterator(Nests.begin() + 1),
-                        std::make_move_iterator(Nests.end()));
   }
 
   /// Partition factors of the memories the program declares; accesses to
@@ -203,20 +188,16 @@ public:
   std::map<std::string, std::vector<int64_t>> KnownArrays;
 
 private:
-  /// The nest currently being extended (created on demand so straight-line
-  /// preamble code attaches to the first real nest).
-  hlsim::LoopNest &cur() {
-    if (Nests.empty())
-      Nests.emplace_back();
-    return Nests.back();
-  }
+  /// The nest currently being extended. Straight-line preamble code
+  /// attaches to the spec's first nest, which its first loop then extends.
+  hlsim::LoopNest &cur() { return K.Nests.back(); }
 
   /// At the top level, each loop opens a fresh nest — unless the current
   /// nest has no loops yet (then it is the preamble waiting for its first
   /// loop).
   void beginTopLevelNestIfNeeded() {
     if (Depth == 0 && !cur().Loops.empty())
-      Nests.emplace_back();
+      K.Nests.emplace_back();
   }
 
   void countOp(BinOpKind Op) {
@@ -447,10 +428,9 @@ private:
     }
   }
 
-  std::vector<hlsim::LoopNest> Nests;
   std::map<std::string, std::string> ViewRoot;
+  hlsim::KernelSpec &K;
   std::map<std::string, int64_t> ConstInits;
-  bool FloatingPoint = false;
   size_t Depth = 0;
 };
 
@@ -462,7 +442,7 @@ dahlia::driver::extractKernelSpec(const Program &P, const std::string &Name) {
   K.Name = Name;
   K.FloatingPoint = false;
 
-  Extractor Ex;
+  Extractor Ex(K);
   int64_t TotalBanks = 0;
   for (const ExternDecl &D : P.Decls) {
     if (!D.Ty || !D.Ty->isMem())
@@ -499,15 +479,16 @@ dahlia::driver::extractKernelSpec(const Program &P, const std::string &Name) {
 
   if (P.Body)
     Ex.visitCmd(*P.Body);
-  Ex.finish(K);
 
-  if (K.Arrays.empty() && K.Loops.empty())
+  // A new nest opens only after the current one gained a loop, so an
+  // empty first nest means the program has no loop at all.
+  if (K.Arrays.empty() && K.Nests.front().Loops.empty())
     return Error(ErrorKind::Internal,
                  "program has no interface memories or loops to estimate");
   // Views that reshape a memory (split) reach it with another number of
   // indices; the affine cost models cannot attribute such accesses.
-  for (size_t NI = 0; NI != K.nestCount(); ++NI)
-    for (const hlsim::Access &A : *K.nest(NI).Body) {
+  for (const hlsim::LoopNest &N : K.Nests)
+    for (const hlsim::Access &A : N.Body) {
       size_t Rank = K.findArray(A.Array)->Partition.size();
       if (A.Idx.size() != Rank)
         return Error(ErrorKind::Internal,

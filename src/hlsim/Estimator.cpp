@@ -22,10 +22,9 @@ using namespace dahlia::hlsim;
 // The estimator walks every nest of the spec (multi-phase kernels like
 // md-knn execute their nests serially): latency and PE area accumulate
 // across nests, the reported II is the max over nests, and the bank
-// fan-in / rule checks consider all of them. For single-nest specs the
-// arithmetic below is ordered exactly as the pre-multi-nest estimator's,
-// so those estimates are bit-identical (the Figure 7 front hashes in
-// bench/baselines/ depend on this).
+// fan-in / rule checks consider all of them. The order of the floating
+// point arithmetic below is part of the model: the Figure 7 front hashes
+// in bench/baselines/ and EstimateDigestTest pin its last bit.
 Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   Estimate E;
   // The processing-element enumeration feeds only the mux sizing and the
@@ -50,13 +49,8 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   double SumPe = 0;    ///< PE count across nests (registers scale on it).
   size_t LoopLevels = 0;
 
-  // Per-nest PE counts, needed again by the epilogue-hardware pass that
-  // can only run after the rule checks.
-  std::vector<double> NestPe;
-  NestPe.reserve(K.nestCount());
-
-  for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-    const KernelSpec::NestView N = K.nest(NI);
+  for (size_t NI = 0; NI != K.Nests.size(); ++NI) {
+    const LoopNest &N = K.Nests[NI];
     const ResolvedNest &RN = R.Nests[NI];
     const double UNest = static_cast<double>(N.totalUnroll());
     SumPe += UNest;
@@ -81,7 +75,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
           // sum must not depend on how instances share residue rows.
           if (Reach.size() > 1)
             for (int64_t M = 0; M != Mult; ++M)
-              MuxLut += CM.MuxLutPerInputBit *
+              MuxLut += model::MuxLutPerInputBit *
                         static_cast<double>(Reach.size()) * Arr.ElemBits;
           for (int64_t B : Reach)
             BankFanIn[static_cast<size_t>(Arr.FirstBank + B)] += Mult;
@@ -100,28 +94,27 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
             ? sampledConflictII(R, RN, Instances, CM.PortConflictSamples)
             : 1.0;
     if (N.HasAccumulator && K.FloatingPoint)
-      NestII = std::max(NestII, 1.0 + CM.AccumulatorII);
+      NestII = std::max(NestII, 1.0 + model::AccumulatorII);
     II = std::max(II, NestII);
 
     //===----------------------------------------------------------------===//
     // Latency of this nest (shape shared with the simulator).
     //===----------------------------------------------------------------===//
-    NestShape Shape = nestShape(RN, CM.LoopOverheadCycles);
+    NestShape Shape = nestShape(RN);
     Cycles += Shape.Groups * std::max(NestII, N.IterationLatency) +
               Shape.OuterOverhead;
-    NestPe.push_back(UNest);
 
     //===----------------------------------------------------------------===//
     // Arithmetic area of this nest's PEs.
     //===----------------------------------------------------------------===//
     const double AddLut =
-        K.FloatingPoint ? CM.LutPerFloatAdd : CM.LutPerIntAdd;
+        K.FloatingPoint ? model::LutPerFloatAdd : model::LutPerIntAdd;
     const double MulLut =
-        K.FloatingPoint ? CM.LutPerFloatMul : CM.LutPerIntMul;
+        K.FloatingPoint ? model::LutPerFloatMul : model::LutPerIntMul;
     PeLut += UNest * (N.MulOps * MulLut + N.AddOps * AddLut);
     const double DspMul =
-        K.FloatingPoint ? CM.DspPerFloatMul : CM.DspPerIntMul;
-    const double DspAdd = K.FloatingPoint ? CM.DspPerFloatAdd : 0.0;
+        K.FloatingPoint ? model::DspPerFloatMul : model::DspPerIntMul;
+    const double DspAdd = K.FloatingPoint ? model::DspPerFloatAdd : 0.0;
     DspAcc += UNest * (N.MulOps * DspMul + N.AddOps * DspAdd);
   }
   E.II = II;
@@ -129,7 +122,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   double ArbLut = 0;
   for (int64_t FanIn : BankFanIn)
     if (FanIn > 1)
-      ArbLut += CM.ArbLutPerRequester * static_cast<double>(FanIn);
+      ArbLut += model::ArbLutPerRequester * static_cast<double>(FanIn);
 
   //===------------------------------------------------------------------===//
   // Rule checks and heuristic noise (mechanism 4).
@@ -141,8 +134,8 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   //===------------------------------------------------------------------===//
   // Area (mechanisms 2 and 3).
   //===------------------------------------------------------------------===//
-  double Lut = CM.BaseControlLut + CM.LutPerLoop * LoopLevels +
-               CM.LutPerBank * static_cast<double>(R.TotalBanks);
+  double Lut = model::BaseControlLut + model::LutPerLoop * LoopLevels +
+               model::LutPerBank * static_cast<double>(R.TotalBanks);
   Lut += PeLut;
   if (CM.ModelMuxCost)
     Lut += MuxLut + ArbLut;
@@ -152,14 +145,13 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     for (const ArraySpec &A : K.Arrays)
       for (size_t D = 0; D != A.DimSizes.size(); ++D)
         if (A.DimSizes[D] % A.Partition[D] != 0)
-          BoundaryLut +=
-              CM.BoundaryLutPerBank * static_cast<double>(A.Partition[D]);
-    for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-      const KernelSpec::NestView N = K.nest(NI);
-      for (const Loop &L : *N.Loops)
+          BoundaryLut += model::BoundaryLutPerBank *
+                         static_cast<double>(A.Partition[D]);
+    for (const LoopNest &N : K.Nests)
+      for (const Loop &L : N.Loops)
         if (L.Trip % L.Unroll != 0)
-          BoundaryLut += CM.EpilogueLutPerPe * NestPe[NI];
-    }
+          BoundaryLut += model::EpilogueLutPerPe *
+                         static_cast<double>(N.totalUnroll());
   }
   if (CM.ModelBoundaryCost)
     Lut += BoundaryLut;
@@ -173,11 +165,11 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     double ElemsPerBank = std::ceil(static_cast<double>(A.totalElems()) /
                                     static_cast<double>(Banks));
     double BitsPerBank = ElemsPerBank * A.ElemBits;
-    if (BitsPerBank <= static_cast<double>(CM.LutMemThresholdBits))
+    if (BitsPerBank <= static_cast<double>(model::LutMemThresholdBits))
       E.LutMem += Banks * static_cast<int64_t>(std::ceil(BitsPerBank / 32.0));
     else
-      E.Bram += Banks * static_cast<int64_t>(
-                            std::ceil(BitsPerBank / (CM.BramKbits * 1024.0)));
+      E.Bram += Banks * static_cast<int64_t>(std::ceil(
+                            BitsPerBank / (model::BramKbits * 1024.0)));
   }
 
   //===------------------------------------------------------------------===//
@@ -189,9 +181,9 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   // Latency tail: the nest latencies accumulated above, one pipeline
   // fill, and any serial phase the spec keeps outside its nests.
   //===------------------------------------------------------------------===//
-  // Two statements, not one sum: addition order must match the
-  // pre-multi-nest estimator bit-for-bit (see the function comment).
-  Cycles += CM.PipelineDepth;
+  // Two statements, not one sum: the addition order is pinned bit-for-bit
+  // (see the function comment).
+  Cycles += model::PipelineDepth;
   Cycles += K.ExtraSerialCycles;
 
   //===------------------------------------------------------------------===//
@@ -201,17 +193,17 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     uint64_t H = heuristicConfigHash(K);
     double U1 = stableHashUnit(H);
     double U3 = stableHashUnit(stableHashCombine(H, 0xc2b2ae3d27d4eb4fULL));
-    Lut *= 1.0 + CM.NoiseAmplitudeArea * U1;
-    Cycles *= heuristicLatencyMultiplier(K, CM.NoiseAmplitudeLatency);
+    Lut *= 1.0 + model::NoiseAmplitudeArea * U1;
+    Cycles *= heuristicLatencyMultiplier(K);
     // Severe violations (bank indirection from mismatched unrolling) can
     // mis-synthesize, as observed in Fig. 4b.
-    if (!RuleUnroll && U3 < CM.MisSynthesisRate)
+    if (!RuleUnroll && U3 < model::MisSynthesisRate)
       E.Incorrect = true;
   }
 
   E.Lut = static_cast<int64_t>(std::llround(Lut));
   E.Ff = static_cast<int64_t>(std::llround(
-      0.8 * Lut + CM.FfPerPe * SumPe + CM.PipelineDepth * 32.0));
+      0.8 * Lut + model::FfPerPe * SumPe + model::PipelineDepth * 32.0));
   E.Cycles = Cycles;
   E.RuntimeMs = Cycles / (K.ClockMHz * 1e3);
   return E;

@@ -22,8 +22,10 @@
 ///     erratic area/latency (and occasional mis-synthesis) the paper
 ///     measures on such points.
 ///
-/// Every cost component can be disabled through \c CostModel for the
-/// ablation experiment (E12).
+/// The model's constants are fixed (\c model); \c CostModel holds only
+/// what callers set: four switches that disable mechanisms 1-4 for the
+/// ablation experiment (E12), and the port-conflict sample count the
+/// fidelity ladder lowers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +39,58 @@
 
 namespace dahlia::hlsim {
 
-/// Tunable constants and ablation switches of the estimation model.
+/// The fixed constants of the cost model, shared by the analytic
+/// estimator and the cycle-level simulator.
+namespace model {
+
+// Base area.
+inline constexpr double BaseControlLut = 1400.0; ///< FSM, AXI, counters.
+inline constexpr double LutPerLoop = 90.0;       ///< Per loop level.
+inline constexpr double LutPerBank = 22.0; ///< Address generation per bank.
+
+// Processing elements.
+inline constexpr double LutPerFloatAdd = 360.0;
+inline constexpr double LutPerFloatMul = 120.0;
+inline constexpr double LutPerIntAdd = 32.0;
+inline constexpr double LutPerIntMul = 40.0;
+inline constexpr double DspPerFloatMul = 3.0;
+inline constexpr double DspPerFloatAdd = 2.0;
+inline constexpr double DspPerIntMul = 3.0;
+
+// Bank indirection (mechanism 2).
+/// Per reachable bank per data bit.
+inline constexpr double MuxLutPerInputBit = 0.55;
+inline constexpr double ArbLutPerRequester = 26.0;
+
+// Boundary hardware (mechanism 3).
+inline constexpr double BoundaryLutPerBank = 64.0;
+inline constexpr double EpilogueLutPerPe = 46.0;
+
+// Registers.
+inline constexpr double FfPerPe = 64.0;
+
+// Memory.
+inline constexpr double BramKbits = 18.0; ///< One BRAM tile holds 18 Kb.
+/// Small banks become LUTRAM.
+inline constexpr int64_t LutMemThresholdBits = 1024;
+
+// Timing.
+inline constexpr double PipelineDepth = 12.0;
+inline constexpr double LoopOverheadCycles = 2.0;
+/// Extra II from an accumulation chain (floating point raises this).
+inline constexpr double AccumulatorII = 1.0;
+
+// Heuristic noise (mechanism 4).
+inline constexpr double NoiseAmplitudeArea = 0.45;
+inline constexpr double NoiseAmplitudeLatency = 0.6;
+/// P(incorrect hardware) for severe rule violations.
+inline constexpr double MisSynthesisRate = 0.08;
+
+} // namespace model
+
+/// The settings of one estimation: the ablation switches (E12) and the
+/// port-conflict sample count the fidelity ladder varies.
 struct CostModel {
-  // Ablation switches (E12).
   bool ModelMuxCost = true;
   bool ModelBoundaryCost = true;
   bool ModelHeuristicNoise = true;
@@ -49,47 +100,6 @@ struct CostModel {
   /// II (a max over samples) is monotone in the sample count — the
   /// property the fidelity ladder below relies on.
   int PortConflictSamples = 16;
-
-  // Base area.
-  double BaseControlLut = 1400.0;  ///< FSM, AXI plumbing, counters.
-  double LutPerLoop = 90.0;        ///< Per loop level.
-  double LutPerBank = 22.0;        ///< Address generation per bank.
-
-  // Processing elements.
-  double LutPerFloatAdd = 360.0;
-  double LutPerFloatMul = 120.0;
-  double LutPerIntAdd = 32.0;
-  double LutPerIntMul = 40.0;
-  double DspPerFloatMul = 3.0;
-  double DspPerFloatAdd = 2.0;
-  double DspPerIntMul = 3.0;
-
-  // Bank indirection (mechanism 2).
-  double MuxLutPerInputBit = 0.55; ///< Per reachable bank per data bit.
-  double ArbLutPerRequester = 26.0;
-
-  // Boundary hardware (mechanism 3).
-  double BoundaryLutPerBank = 64.0;
-  double EpilogueLutPerPe = 46.0;
-
-  // Registers.
-  double FfPerPe = 64.0;
-
-  // Memory.
-  double BramKbits = 18.0; ///< One BRAM tile holds 18 Kb.
-  int64_t LutMemThresholdBits = 1024; ///< Small banks become LUTRAM.
-
-  // Timing.
-  double PipelineDepth = 12.0;
-  double LoopOverheadCycles = 2.0;
-  double AccumulatorII = 1.0; ///< Extra II from an accumulation chain
-                              ///< (floating point raises this).
-
-  // Heuristic noise (mechanism 4).
-  double NoiseAmplitudeArea = 0.45;
-  double NoiseAmplitudeLatency = 0.6;
-  double MisSynthesisRate = 0.08; ///< P(incorrect hardware) for severe
-                                  ///< rule violations.
 };
 
 /// One estimation result, mirroring the columns of the paper's evaluation
@@ -152,7 +162,7 @@ enum class Fidelity : uint8_t { Coarse = 0, Medium = 1, Full = 2, Exact = 3 };
 const char *fidelityName(Fidelity F);
 
 /// The cost model implementing \p F (Full is the default CostModel; Exact
-/// uses Full's cost constants around the simulated schedule).
+/// uses Full's model around the simulated schedule).
 CostModel costModelFor(Fidelity F);
 
 /// Estimates \p K at fidelity \p F. Coarse/Medium/Full run the analytic

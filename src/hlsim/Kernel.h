@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The kernel intermediate representation consumed by the HLS estimation
-/// substrate: a (possibly imperfect) loop nest with cyclically partitioned
-/// arrays and affine memory accesses. This mirrors the information an HLS
-/// scheduler extracts from pragma-annotated C++ (Section 2): trip counts,
-/// UNROLL factors, ARRAY_PARTITION factors, and the affine access
+/// The one kernel intermediate representation, consumed by the analytic
+/// estimator and the cycle-level simulator alike: cyclically partitioned
+/// arrays plus a list of serial loop nests, each with its trip counts,
+/// UNROLL factors and affine memory accesses. This mirrors the information
+/// an HLS scheduler extracts from pragma-annotated C++ (Section 2): trip
+/// counts, UNROLL factors, ARRAY_PARTITION factors, and the affine access
 /// functions that determine which bank each processing element touches.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "support/StableHash.h"
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -99,11 +101,8 @@ struct Access {
   bool IsWrite = false;
 };
 
-/// One loop nest of a kernel beyond the first: its loops (outermost
-/// first), body accesses, per-instance op counts, and pipelining
-/// constraints. Nests execute serially, one after the other (md-knn's
-/// hoisted gather followed by the force computation is the canonical
-/// example).
+/// One loop nest of a kernel: its loops (outermost first), body accesses,
+/// per-instance op counts, and pipelining constraints.
 struct LoopNest {
   std::vector<Loop> Loops;
   std::vector<Access> Body;
@@ -117,108 +116,36 @@ struct LoopNest {
   /// cannot pipeline (e.g. a floating-point force chain); the effective
   /// initiation interval is max(II, IterationLatency).
   double IterationLatency = 1.0;
-};
 
-/// A kernel: one or more serial loop nests + arrays. The first nest lives
-/// in the flat legacy fields (Loops/Body/MulOps/AddOps/HasAccumulator/
-/// IterationLatency); additional nests (multi-phase kernels like md-knn)
-/// follow in \c ExtraNests. Use \c nestCount / \c nest to walk all of
-/// them uniformly.
-struct KernelSpec {
-  std::string Name;
-  std::vector<ArraySpec> Arrays;
-  std::vector<Loop> Loops;
-  std::vector<Access> Body;
-  /// Arithmetic operations per body instance (before unrolling).
-  unsigned MulOps = 0;
-  unsigned AddOps = 0;
-  bool FloatingPoint = true;
-  double ClockMHz = 250.0;
-  /// Loop-carried dependence distance-1 chain (e.g. an accumulator):
-  /// limits pipelining of the innermost loop (first nest).
-  bool HasAccumulator = false;
-  /// Cycles spent in serial phases outside the modelled nests (phases the
-  /// spec does not describe as a nest at all).
-  double ExtraSerialCycles = 0;
-  /// First nest's dependence-bound iteration latency (see LoopNest).
-  double IterationLatency = 1.0;
-  /// Loop nests after the first, executed serially in order.
-  std::vector<LoopNest> ExtraNests;
-
-  const ArraySpec *findArray(const std::string &Name) const {
-    for (const ArraySpec &A : Arrays)
-      if (A.Name == Name)
-        return &A;
-    return nullptr;
-  }
-
-  /// A borrowed, uniform view of one nest (nest 0 aliases the flat legacy
-  /// fields; nest I > 0 aliases ExtraNests[I - 1]).
-  struct NestView {
-    const std::vector<Loop> *Loops = nullptr;
-    const std::vector<Access> *Body = nullptr;
-    unsigned MulOps = 0;
-    unsigned AddOps = 0;
-    bool HasAccumulator = false;
-    double IterationLatency = 1.0;
-
-    /// Product of this nest's unroll factors (its PE count).
-    int64_t totalUnroll() const {
-      int64_t U = 1;
-      for (const Loop &L : *Loops)
-        U *= L.Unroll;
-      return U;
-    }
-  };
-
-  size_t nestCount() const { return 1 + ExtraNests.size(); }
-
-  NestView nest(size_t I) const {
-    NestView V;
-    if (I == 0) {
-      V.Loops = &Loops;
-      V.Body = &Body;
-      V.MulOps = MulOps;
-      V.AddOps = AddOps;
-      V.HasAccumulator = HasAccumulator;
-      V.IterationLatency = IterationLatency;
-    } else {
-      const LoopNest &N = ExtraNests[I - 1];
-      V.Loops = &N.Loops;
-      V.Body = &N.Body;
-      V.MulOps = N.MulOps;
-      V.AddOps = N.AddOps;
-      V.HasAccumulator = N.HasAccumulator;
-      V.IterationLatency = N.IterationLatency;
-    }
-    return V;
-  }
-
-  /// True when any nest carries an accumulation chain.
-  bool anyAccumulator() const {
-    if (HasAccumulator)
-      return true;
-    for (const LoopNest &N : ExtraNests)
-      if (N.HasAccumulator)
-        return true;
-    return false;
-  }
-
-  /// Product of the FIRST nest's unroll factors (the legacy notion of the
-  /// number of processing elements; per-nest counts via nest(I)).
+  /// Product of the unroll factors (this nest's PE count).
   int64_t totalUnroll() const {
     int64_t U = 1;
     for (const Loop &L : Loops)
       U *= L.Unroll;
     return U;
   }
+};
 
-  /// Product of the FIRST nest's trip counts.
-  int64_t totalIters() const {
-    int64_t N = 1;
-    for (const Loop &L : Loops)
-      N *= L.Trip;
-    return N;
+/// A kernel: arrays + serial loop nests. The nests execute one after the
+/// other (md-knn's hoisted gather followed by its force computation is the
+/// canonical multi-nest kernel). A spec always has at least one nest: a
+/// kernel without loops is one nest with an empty loop list, which still
+/// carries its straight-line accesses and ops.
+struct KernelSpec {
+  std::string Name;
+  std::vector<ArraySpec> Arrays;
+  std::vector<LoopNest> Nests = std::vector<LoopNest>(1);
+  bool FloatingPoint = true;
+  double ClockMHz = 250.0;
+  /// Cycles spent in serial phases outside the modelled nests (phases the
+  /// spec does not describe as a nest at all).
+  double ExtraSerialCycles = 0;
+
+  const ArraySpec *findArray(const std::string &Name) const {
+    for (const ArraySpec &A : Arrays)
+      if (A.Name == Name)
+        return &A;
+    return nullptr;
   }
 };
 
@@ -275,17 +202,24 @@ inline uint64_t specHash(const KernelSpec &K) {
       Num(A.IsWrite);
     }
   };
-  Loops(K.Loops);
-  Accesses(K.Body);
-  Num(K.MulOps);
-  Num(K.AddOps);
+  // Nest 0's fields interleave with the kernel's scalars, and the later
+  // nests follow as a counted list. This order is the key layout of the
+  // persistent cache (format v4): reordering it would orphan every
+  // stored entry.
+  assert(!K.Nests.empty() && "a kernel spec has at least one nest");
+  const LoopNest &First = K.Nests.front();
+  Loops(First.Loops);
+  Accesses(First.Body);
+  Num(First.MulOps);
+  Num(First.AddOps);
   Num(K.FloatingPoint);
   Dbl(K.ClockMHz);
-  Num(K.HasAccumulator);
+  Num(First.HasAccumulator);
   Dbl(K.ExtraSerialCycles);
-  Dbl(K.IterationLatency);
-  Num(K.ExtraNests.size());
-  for (const LoopNest &N : K.ExtraNests) {
+  Dbl(First.IterationLatency);
+  Num(K.Nests.size() - 1);
+  for (size_t NI = 1; NI != K.Nests.size(); ++NI) {
+    const LoopNest &N = K.Nests[NI];
     Loops(N.Loops);
     Accesses(N.Body);
     Num(N.MulOps);

@@ -27,6 +27,7 @@
 #ifndef DAHLIA_HLSIM_KERNELANALYSIS_H
 #define DAHLIA_HLSIM_KERNELANALYSIS_H
 
+#include "hlsim/Estimator.h"
 #include "hlsim/Kernel.h"
 
 #include "support/StableHash.h"
@@ -145,21 +146,22 @@ inline void resolve(const KernelSpec &K, ResolvedKernel &R) {
   R.BankPressure.assign(static_cast<size_t>(R.TotalBanks), 0);
   R.UnrollDividesBanking = true;
 
-  R.Nests.resize(K.nestCount());
-  for (size_t NI = 0; NI != K.nestCount(); ++NI) {
-    const KernelSpec::NestView N = K.nest(NI);
+  assert(!K.Nests.empty() && "a kernel spec has at least one nest");
+  R.Nests.resize(K.Nests.size());
+  for (size_t NI = 0; NI != K.Nests.size(); ++NI) {
+    const LoopNest &N = K.Nests[NI];
     ResolvedNest &RN = R.Nests[NI];
-    const size_t NL = N.Loops->size();
+    const size_t NL = N.Loops.size();
     RN.Trip.clear();
     RN.Unroll.clear();
-    for (const Loop &L : *N.Loops) {
+    for (const Loop &L : N.Loops) {
       RN.Trip.push_back(L.Trip);
       RN.Unroll.push_back(L.Unroll);
     }
     RN.Body.clear();
     RN.Coeffs.clear();
     RN.Consts.clear();
-    for (const Access &A : *N.Body) {
+    for (const Access &A : N.Body) {
       // First declaration wins, as for a by-name lookup.
       uint32_t Ord = 0;
       while (Ord != K.Arrays.size() && K.Arrays[Ord].Name != A.Array)
@@ -177,13 +179,13 @@ inline void resolve(const KernelSpec &K, ResolvedKernel &R) {
         int64_t *Row = RN.Coeffs.data() + RN.Coeffs.size() - NL;
         for (const auto &[Var, Coeff] : E.Coeffs)
           for (size_t L = 0; L != NL; ++L) {
-            if ((*N.Loops)[L].Var != Var)
+            if (N.Loops[L].Var != Var)
               continue;
             Row[L] = Coeff;
             // The rule asks whether the index *mentions* the unrolled
             // iterator, so it is decided here, where even a coefficient
             // of 0 is still visible.
-            int64_t U = (*N.Loops)[L].Unroll;
+            int64_t U = N.Loops[L].Unroll;
             if (U > 1 && P % U != 0)
               R.UnrollDividesBanking = false;
           }
@@ -441,14 +443,14 @@ struct NestShape {
   double OuterOverhead = 0;
 };
 
-inline NestShape nestShape(const ResolvedNest &N, double LoopOverheadCycles) {
+inline NestShape nestShape(const ResolvedNest &N) {
   NestShape S;
   double Prefix = 1;
   for (size_t L = 0; L != N.loops(); ++L) {
     double G = std::ceil(static_cast<double>(N.Trip[L]) /
                          static_cast<double>(N.Unroll[L]));
     S.Groups *= G;
-    S.OuterOverhead += Prefix * LoopOverheadCycles;
+    S.OuterOverhead += Prefix * model::LoopOverheadCycles;
     Prefix *= G;
   }
   return S;
@@ -461,8 +463,8 @@ inline bool bankingDividesSizes(const KernelSpec &K) {
     for (size_t D = 0; D != Arr.DimSizes.size(); ++D)
       if (Arr.DimSizes[D] % Arr.Partition[D] != 0)
         return false;
-  for (size_t NI = 0; NI != K.nestCount(); ++NI)
-    for (const Loop &L : *K.nest(NI).Loops)
+  for (const LoopNest &N : K.Nests)
+    for (const Loop &L : N.Loops)
       if (L.Trip % L.Unroll != 0)
         return false;
   return true;
@@ -478,8 +480,8 @@ inline uint64_t heuristicConfigHash(const KernelSpec &K) {
     char Buf[24];
     S.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
   };
-  for (size_t NI = 0; NI != K.nestCount(); ++NI)
-    for (const Loop &L : *K.nest(NI).Loops) {
+  for (const LoopNest &N : K.Nests)
+    for (const Loop &L : N.Loops) {
       S += '|';
       S += L.Var;
       S += ':';
@@ -505,11 +507,10 @@ inline uint64_t heuristicConfigHash(const KernelSpec &K) {
 /// The deterministic latency perturbation (>= 1) applied to
 /// rule-violating configurations — the same draw at every fidelity,
 /// simulator included, so noise never inverts the ladder.
-inline double heuristicLatencyMultiplier(const KernelSpec &K,
-                                         double NoiseAmplitudeLatency) {
+inline double heuristicLatencyMultiplier(const KernelSpec &K) {
   uint64_t H = heuristicConfigHash(K);
   double U2 = stableHashUnit(stableHashCombine(H, 0x9e3779b97f4a7c15ULL));
-  return 1.0 + NoiseAmplitudeLatency * U2;
+  return 1.0 + model::NoiseAmplitudeLatency * U2;
 }
 
 } // namespace dahlia::hlsim

@@ -19,11 +19,12 @@ using namespace dahlia::hlsim;
 
 KernelSpec dahlia::kernels::gemm512(int64_t Unroll, int64_t Partition) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = "gemm512";
   K.FloatingPoint = false; // int m1[512][512] in Figure 2.
-  K.MulOps = 1;
-  K.AddOps = 1;
-  K.HasAccumulator = true;
+  Nest.MulOps = 1;
+  Nest.AddOps = 1;
+  Nest.HasAccumulator = true;
   // SDAccel partitions on the k dimension of m1 and the k dimension of m2
   // (the dimension the unrolled loop strides over).
   K.Arrays = {
@@ -31,12 +32,12 @@ KernelSpec dahlia::kernels::gemm512(int64_t Unroll, int64_t Partition) {
       {"m2", {512, 512}, {Partition, 1}, 1, 32},
       {"prod", {512, 512}, {1, 1}, 1, 32},
   };
-  K.Loops = {
+  Nest.Loops = {
       {"i", 512, 1},
       {"j", 512, 1},
       {"k", 512, Unroll},
   };
-  K.Body = {
+  Nest.Body = {
       {"m1", {AffineExpr::var("i"), AffineExpr::var("k")}, false},
       {"m2", {AffineExpr::var("k"), AffineExpr::var("j")}, false},
       {"prod", {AffineExpr::var("i"), AffineExpr::var("j")}, true},
@@ -100,17 +101,18 @@ dahlia::kernels::gemmBlockedDahlia(const GemmBlockedConfig &C) {
 
 KernelSpec dahlia::kernels::gemmBlockedSpec(const GemmBlockedConfig &C) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = "gemm-blocked";
   K.FloatingPoint = false;
-  K.MulOps = 1;
-  K.AddOps = 2;
-  K.HasAccumulator = true;
+  Nest.MulOps = 1;
+  Nest.AddOps = 2;
+  Nest.HasAccumulator = true;
   K.Arrays = {
       {"m1", {128, 128}, {C.Bank11, C.Bank12}, 1, 32},
       {"m2", {128, 128}, {C.Bank11, C.Bank12}, 1, 32},
       {"prod", {128, 128}, {C.Bank21, C.Bank22}, 1, 32},
   };
-  K.Loops = {
+  Nest.Loops = {
       {"jj", 16, 1},          {"kk", 16, 1},
       {"i", 128, C.Unroll1},  {"j", 8, C.Unroll2},
       {"k", 8, C.Unroll3},
@@ -119,7 +121,7 @@ KernelSpec dahlia::kernels::gemmBlockedSpec(const GemmBlockedConfig &C) {
   KkK.Coeffs["k"] = 1;
   AffineExpr JjJ = AffineExpr::var("jj", 8);
   JjJ.Coeffs["j"] = 1;
-  K.Body = {
+  Nest.Body = {
       {"m1", {AffineExpr::var("i"), KkK}, false},
       {"m2", {KkK, JjJ}, false},
       {"prod", {AffineExpr::var("i"), JjJ}, false},
@@ -176,17 +178,18 @@ std::string dahlia::kernels::stencil2dDahlia(const Stencil2dConfig &C) {
 
 KernelSpec dahlia::kernels::stencil2dSpec(const Stencil2dConfig &C) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = "stencil2d";
   K.FloatingPoint = false;
-  K.MulOps = 1;
-  K.AddOps = 1;
-  K.HasAccumulator = true;
+  Nest.MulOps = 1;
+  Nest.AddOps = 1;
+  Nest.HasAccumulator = true;
   K.Arrays = {
       {"orig", {120, 60}, {C.OrigBank1, C.OrigBank2}, 1, 32},
       {"sol", {120, 60}, {1, 1}, 1, 32},
       {"filter", {3, 3}, {C.FilterBank1, C.FilterBank2}, 1, 32},
   };
-  K.Loops = {
+  Nest.Loops = {
       {"r", 118, 1},
       {"c", 58, 1},
       {"k1", 3, C.Unroll1},
@@ -196,7 +199,7 @@ KernelSpec dahlia::kernels::stencil2dSpec(const Stencil2dConfig &C) {
   RK1.Coeffs["k1"] = 1;
   AffineExpr CK2 = AffineExpr::var("c");
   CK2.Coeffs["k2"] = 1;
-  K.Body = {
+  Nest.Body = {
       {"filter", {AffineExpr::var("k1"), AffineExpr::var("k2")}, false},
       {"orig", {RK1, CK2}, false},
       {"sol", {AffineExpr::var("r"), AffineExpr::var("c")}, true},
@@ -270,14 +273,15 @@ KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
   // Two serial phases, both modelled as real nests (matching the port's
   // source order): the hoisted data-dependent gather, then the
   // parallelizable force computation.
-  //
+  K.Nests.resize(2);
   // Nest 0 — the gather: 256*16 serial iterations streaming neighbour
   // positions into the staging layout.
-  K.Loops = {
+  LoopNest &Gather = K.Nests[0];
+  Gather.Loops = {
       {"i0", 256, 1},
       {"j0", 16, 1},
   };
-  K.Body = {
+  Gather.Body = {
       {"nl", {AffineExpr::var("i0"), AffineExpr::var("j0")}, false},
       {"nlpos", {AffineExpr::var("i0"), AffineExpr::var("j0")}, true},
   };
@@ -292,7 +296,7 @@ KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
   };
   // Nest 1 — the force computation. The Lennard-Jones force chain is a
   // long dependence-bound FP pipeline.
-  LoopNest Force;
+  LoopNest &Force = K.Nests[1];
   Force.Loops = {
       {"i", 256, C.UnrollI},
       {"j", 16, C.UnrollJ},
@@ -306,7 +310,6 @@ KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
   Force.AddOps = 2;
   Force.HasAccumulator = true;
   Force.IterationLatency = 30.0;
-  K.ExtraNests.push_back(std::move(Force));
   return K;
 }
 
@@ -357,22 +360,23 @@ std::string dahlia::kernels::mdGridDahlia(const MdGridConfig &C) {
 
 KernelSpec dahlia::kernels::mdGridSpec(const MdGridConfig &C) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = "md-grid";
   K.FloatingPoint = true;
-  K.MulOps = 2;
-  K.AddOps = 3;
-  K.HasAccumulator = true;
+  Nest.MulOps = 2;
+  Nest.AddOps = 3;
+  Nest.HasAccumulator = true;
   K.Arrays = {
       {"pos", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32},
       {"frc", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32},
   };
-  K.Loops = {
+  Nest.Loops = {
       {"i", 4, C.Unroll1},
       {"j", 4, C.Unroll2},
       {"k", 4, C.Unroll3},
       {"a", 16, 1},
   };
-  K.Body = {
+  Nest.Body = {
       {"pos",
        {AffineExpr::var("i"), AffineExpr::var("j"), AffineExpr::var("k"),
         AffineExpr::var("a")},

@@ -22,12 +22,13 @@ KernelSpec serialKernel(const std::string &Name, int64_t N,
                         std::vector<ArraySpec> Arrays, unsigned Muls,
                         unsigned Adds, bool Fp = false) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = Name;
   K.FloatingPoint = Fp;
-  K.MulOps = Muls;
-  K.AddOps = Adds;
+  Nest.MulOps = Muls;
+  Nest.AddOps = Adds;
   K.Arrays = std::move(Arrays);
-  K.Loops = {{"i", N, 1}};
+  Nest.Loops = {{"i", N, 1}};
   for (const ArraySpec &A : K.Arrays) {
     Access Acc;
     Acc.Array = A.Name;
@@ -35,7 +36,7 @@ KernelSpec serialKernel(const std::string &Name, int64_t N,
       Acc.Idx.push_back(D == 0 ? AffineExpr::var("i")
                                : AffineExpr::constant(0));
     Acc.IsWrite = &A == &K.Arrays.back();
-    K.Body.push_back(std::move(Acc));
+    Nest.Body.push_back(std::move(Acc));
   }
   return K;
 }
@@ -62,17 +63,18 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
   // aes: 256-entry S-box, 10 serial rounds over a 16-byte state.
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "aes";
     K.FloatingPoint = false;
-    K.MulOps = 0;
-    K.AddOps = 4;
+    Nest.MulOps = 0;
+    Nest.AddOps = 4;
     K.Arrays = {
         {"sbox", {256}, {1}, 1, 8},
         {"key", {32}, {1}, 1, 8},
         {"state", {16}, {1}, 1, 8},
     };
-    K.Loops = {{"round", 10, 1}, {"byte", 16, 1}};
-    K.Body = {
+    Nest.Loops = {{"round", 10, 1}, {"byte", 16, 1}};
+    Nest.Body = {
         {"state", {AffineExpr::var("byte")}, false},
         {"sbox", {AffineExpr::constant(0)}, false},
         {"key", {AffineExpr::constant(0)}, false},
@@ -98,17 +100,18 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
   // bfs-bulk / bfs-queue: level-synchronous traversal over CSR graph.
   for (const char *Variant : {"bfs-bulk", "bfs-queue"}) {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = Variant;
     K.FloatingPoint = false;
-    K.MulOps = 0;
-    K.AddOps = 2;
+    Nest.MulOps = 0;
+    Nest.AddOps = 2;
     K.Arrays = {
         {"nodes", {512}, {1}, 1, 64},
         {"edges", {4096}, {1}, 1, 32},
         {"level", {512}, {1}, 1, 8},
     };
-    K.Loops = {{"horizon", 10, 1}, {"n", 512, 1}};
-    K.Body = {
+    Nest.Loops = {{"horizon", 10, 1}, {"n", 512, 1}};
+    Nest.Body = {
         {"nodes", {AffineExpr::var("n")}, false},
         {"edges", {AffineExpr::constant(0)}, false},
         {"level", {AffineExpr::var("n")}, true},
@@ -141,18 +144,19 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
   // fft-strided: 1024-point FFT, log2(N) strided stages.
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "fft-strided";
     K.FloatingPoint = true;
-    K.MulOps = 4;
-    K.AddOps = 6;
+    Nest.MulOps = 4;
+    Nest.AddOps = 6;
     K.Arrays = {
         {"real", {1024}, {1}, 1, 64},
         {"img", {1024}, {1}, 1, 64},
         {"real_twid", {512}, {1}, 1, 64},
         {"img_twid", {512}, {1}, 1, 64},
     };
-    K.Loops = {{"stage", 10, 1}, {"od", 512, 1}};
-    K.Body = {
+    Nest.Loops = {{"stage", 10, 1}, {"od", 512, 1}};
+    Nest.Body = {
         {"real", {AffineExpr::var("od")}, false},
         {"img", {AffineExpr::var("od")}, false},
         {"real_twid", {AffineExpr::var("od")}, false},
@@ -182,18 +186,19 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
                      gemmBlockedDahlia(GemmBlockedConfig())));
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "gemm-ncubed";
     K.FloatingPoint = true;
-    K.MulOps = 1;
-    K.AddOps = 1;
-    K.HasAccumulator = true;
+    Nest.MulOps = 1;
+    Nest.AddOps = 1;
+    Nest.HasAccumulator = true;
     K.Arrays = {
         {"m1", {128, 128}, {1, 1}, 1, 32},
         {"m2", {128, 128}, {1, 1}, 1, 32},
         {"prod", {128, 128}, {1, 1}, 1, 32},
     };
-    K.Loops = {{"i", 128, 1}, {"j", 128, 1}, {"k", 128, 1}};
-    K.Body = {
+    Nest.Loops = {{"i", 128, 1}, {"j", 128, 1}, {"k", 128, 1}};
+    Nest.Body = {
         {"m1", {AffineExpr::var("i"), AffineExpr::var("k")}, false},
         {"m2", {AffineExpr::var("k"), AffineExpr::var("j")}, false},
         {"prod", {AffineExpr::var("i"), AffineExpr::var("j")}, true},
@@ -227,7 +232,7 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
                                 0, 2);
     // The stream walk is a counted `while` in the port; its trip count is
     // a static bound, which the extractor now recovers (SpecValidation).
-    K.Loops[0].IsWhile = true;
+    K.Nests[0].Loops[0].IsWhile = true;
     // Port fidelity: the precomputed failure table is part of the
     // interface even though this simplified matcher resets q directly.
     Out.push_back(make(
@@ -266,19 +271,20 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
   // nw: Needleman-Wunsch 128x128 dynamic programming.
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "nw";
     K.FloatingPoint = false;
-    K.MulOps = 0;
-    K.AddOps = 3;
+    Nest.MulOps = 0;
+    Nest.AddOps = 3;
     K.Arrays = {
         {"seqA", {128}, {1}, 1, 8},
         {"seqB", {128}, {1}, 1, 8},
         {"M", {129, 129}, {1, 1}, 1, 32},
     };
-    K.Loops = {{"i", 128, 1}, {"j", 128, 1}};
+    Nest.Loops = {{"i", 128, 1}, {"j", 128, 1}};
     AffineExpr I1 = AffineExpr::var("i", 1, 1);
     AffineExpr J1 = AffineExpr::var("j", 1, 1);
-    K.Body = {
+    Nest.Body = {
         {"seqA", {AffineExpr::var("i")}, false},
         {"seqB", {AffineExpr::var("j")}, false},
         {"M", {AffineExpr::var("i"), AffineExpr::var("j")}, false},
@@ -354,7 +360,7 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
                                  {"vec", {494}, {1}, 1, 64},
                                  {"out", {494}, {1}, 1, 64}},
                                 1, 1, /*Fp=*/true);
-    K.HasAccumulator = true;
+    K.Nests[0].HasAccumulator = true;
     // Port fidelity: the row products reduce through a combine block (the
     // spec models an accumulation chain), instead of overwriting out[0].
     Out.push_back(make(
@@ -380,19 +386,20 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
   }
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "spmv-ellpack";
     K.FloatingPoint = true;
-    K.MulOps = 1;
-    K.AddOps = 1;
-    K.HasAccumulator = true;
+    Nest.MulOps = 1;
+    Nest.AddOps = 1;
+    Nest.HasAccumulator = true;
     K.Arrays = {
         {"nzval", {494, 10}, {1, 1}, 1, 64},
         {"cols", {494, 10}, {1, 1}, 1, 32},
         {"vec", {494}, {1}, 1, 64},
         {"out", {494}, {1}, 1, 64},
     };
-    K.Loops = {{"i", 494, 1}, {"j", 10, 1}};
-    K.Body = {
+    Nest.Loops = {{"i", 494, 1}, {"j", 10, 1}};
+    Nest.Body = {
         {"nzval", {AffineExpr::var("i"), AffineExpr::var("j")}, false},
         {"cols", {AffineExpr::var("i"), AffineExpr::var("j")}, false},
         {"vec", {AffineExpr::constant(0)}, false},
@@ -423,16 +430,17 @@ std::vector<MachSuiteBenchmark> dahlia::kernels::machSuiteBenchmarks() {
                      stencil2dDahlia(Stencil2dConfig())));
   {
     KernelSpec K;
+    LoopNest &Nest = K.Nests.front();
     K.Name = "stencil-stencil3d";
     K.FloatingPoint = false;
-    K.MulOps = 2;
-    K.AddOps = 6;
+    Nest.MulOps = 2;
+    Nest.AddOps = 6;
     K.Arrays = {
         {"orig3", {32, 32, 16}, {1, 1, 1}, 1, 32},
         {"sol3", {32, 32, 16}, {1, 1, 1}, 1, 32},
     };
-    K.Loops = {{"i", 30, 1}, {"j", 30, 1}, {"k", 14, 1}};
-    K.Body = {
+    Nest.Loops = {{"i", 30, 1}, {"j", 30, 1}, {"k", 14, 1}};
+    Nest.Body = {
         {"orig3",
          {AffineExpr::var("i"), AffineExpr::var("j"), AffineExpr::var("k")},
          false},

@@ -30,23 +30,24 @@ int64_t largestDivisorAtMost(int64_t N, int64_t U) {
 KernelSpec gemmNCubedSpec(int64_t Dim, int64_t U, int64_t BankA,
                           int64_t BankB) {
   KernelSpec K;
+  LoopNest &Nest = K.Nests.front();
   K.Name = "spatial-gemm-ncubed";
   K.ClockMHz = 125.0; // Zynq-7000 class.
   K.FloatingPoint = false; // FixPt[TRUE,_16,_16].
-  K.MulOps = 1;
-  K.AddOps = 1;
-  K.HasAccumulator = true;
+  Nest.MulOps = 1;
+  Nest.AddOps = 1;
+  Nest.HasAccumulator = true;
   K.Arrays = {
       {"a_sram", {Dim, Dim}, {1, BankA}, 1, 32},
       {"b_sram", {Dim, Dim}, {BankB, 1}, 1, 32},
       {"c_sram", {Dim, Dim}, {1, 1}, 1, 32},
   };
-  K.Loops = {
+  Nest.Loops = {
       {"i", Dim, 1},
       {"j", Dim, 1},
       {"k", Dim, U},
   };
-  K.Body = {
+  Nest.Body = {
       {"a_sram", {AffineExpr::var("i"), AffineExpr::var("k")}, false},
       {"b_sram", {AffineExpr::var("k"), AffineExpr::var("j")}, false},
       {"c_sram", {AffineExpr::var("i"), AffineExpr::var("j")}, true},

@@ -152,10 +152,10 @@ TEST(CycleSim, ExhaustiveWalkCatchesConflictsTheSampledScanMisses) {
   K.Name = "period17";
   K.FloatingPoint = false;
   K.Arrays = {{"A", {34}, {17}, 1, 32}};
-  K.Loops = {{"i", 34, 1}};
+  K.Nests[0].Loops = {{"i", 34, 1}};
   Access R1{"A", {AffineExpr::var("i", 1, 16)}, false};
   Access R2{"A", {AffineExpr::var("i", 2)}, false};
-  K.Body = {R1, R2};
+  K.Nests[0].Body = {R1, R2};
 
   Estimate F = estimateAt(K, Fidelity::Full);
   SimResult S = simulate(K);

@@ -145,15 +145,17 @@ TEST(Driver, SpecExtractorReadsKernelStructure) {
   EXPECT_EQ(Spec->Arrays[0].Name, "A");
   EXPECT_EQ(Spec->Arrays[0].DimSizes, (std::vector<int64_t>{8}));
   EXPECT_EQ(Spec->Arrays[0].Partition, (std::vector<int64_t>{4}));
-  ASSERT_EQ(Spec->Loops.size(), 1u);
-  EXPECT_EQ(Spec->Loops[0].Trip, 8);
-  EXPECT_EQ(Spec->Loops[0].Unroll, 4);
-  EXPECT_TRUE(Spec->HasAccumulator); // the combine block
+  ASSERT_EQ(Spec->Nests.size(), 1u);
+  const hlsim::LoopNest &N = Spec->Nests[0];
+  ASSERT_EQ(N.Loops.size(), 1u);
+  EXPECT_EQ(N.Loops[0].Trip, 8);
+  EXPECT_EQ(N.Loops[0].Unroll, 4);
+  EXPECT_TRUE(N.HasAccumulator); // the combine block
   EXPECT_TRUE(Spec->FloatingPoint);
-  EXPECT_GE(Spec->MulOps, 1u);
+  EXPECT_GE(N.MulOps, 1u);
   // The body reads A[i] and B[i] and writes out[0].
   bool SawARead = false, SawOutWrite = false;
-  for (const hlsim::Access &A : Spec->Body) {
+  for (const hlsim::Access &A : N.Body) {
     SawARead |= A.Array == "A" && !A.IsWrite;
     SawOutWrite |= A.Array == "out" && A.IsWrite;
   }
@@ -183,8 +185,9 @@ TEST(Driver, PhysicalBankAccessChargesTheCheckedBank) {
     ASSERT_TRUE(C.ok()) << C.firstError();
     Result<hlsim::KernelSpec> Spec = extractKernelSpec(*C.Prog);
     ASSERT_TRUE(bool(Spec)) << Spec.error().str();
-    ASSERT_EQ(Spec->Body.size(), 1u);
-    ASSERT_EQ(Spec->Body[0].Idx.size(), Spec->Arrays[0].Partition.size());
+    const std::vector<hlsim::Access> &Body = Spec->Nests[0].Body;
+    ASSERT_EQ(Body.size(), 1u);
+    ASSERT_EQ(Body[0].Idx.size(), Spec->Arrays[0].Partition.size());
 
     hlsim::ResolvedKernel RK;
     hlsim::resolve(*Spec, RK);
@@ -231,6 +234,45 @@ TEST(Driver, SpecExtractorRejectsMoreBanksThanTheCostModelsCount) {
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*C.Prog);
   ASSERT_FALSE(bool(Spec));
   EXPECT_NE(Spec.error().message().find("'A'"), std::string::npos);
+}
+
+TEST(Driver, ProgramsWithoutLoopsEstimateAsOneEmptyNest) {
+  // A program with memories but no loop still has one nest: an empty
+  // loop list that carries any straight-line accesses. Its estimate,
+  // its one-nest simulation and its cache key are pinned.
+  struct Case {
+    const char *Src;
+    double Cycles;
+    int64_t Lut, Ff;
+    uint64_t Hash;
+  };
+  const Case Cases[] = {
+      {"decl a: bit<32>[8 bank 2];\n", 13, 1444, 1603, 0x74d180a12aac4330},
+      {"decl a: bit<32>[8 bank 2];\n"
+       "decl b: bit<32>[4];\n"
+       "let x = a[1]\n"
+       "---\n"
+       "b[2] := x + 1;\n",
+       13, 1498, 1646, 0x778f011f1d7e1f86},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Src);
+    CompileResult R = CompilerPipeline().simulate(C.Src);
+    ASSERT_TRUE(R.ok()) << R.firstError();
+    ASSERT_TRUE(R.Est.has_value());
+    ASSERT_TRUE(R.Sim.has_value());
+    EXPECT_EQ(R.Est->Cycles, C.Cycles);
+    EXPECT_EQ(R.Est->Lut, C.Lut);
+    EXPECT_EQ(R.Est->Ff, C.Ff);
+    ASSERT_EQ(R.Sim->Nests.size(), 1u);
+    EXPECT_EQ(R.Sim->Nests[0].Groups, 1.0);
+    EXPECT_EQ(R.Sim->Cycles, C.Cycles);
+
+    Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
+    ASSERT_TRUE(bool(Spec)) << Spec.error().str();
+    EXPECT_EQ(hlsim::specHash(*Spec), C.Hash)
+        << std::hex << hlsim::specHash(*Spec);
+  }
 }
 
 TEST(Driver, SpecExtractorRejectsUnestimableProgram) {

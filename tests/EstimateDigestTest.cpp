@@ -5,8 +5,9 @@
 //
 // The differential oracle for refactors of the cost ladder: a hash over
 // every field of every analytic estimate (Coarse, Medium, Full) across the
-// four DSE spaces, and over every field of every cycle-level simulation
-// of the hand-written specs the sim_accuracy harness sweeps. The
+// four DSE spaces, over every field of every cycle-level simulation of
+// the hand-written specs the sim_accuracy harness sweeps, and over the
+// spec hashes (cache keys) of all of those specs. The
 // constants were recorded with the map-walking estimator that predates
 // the resolved kernel form; any change to a cycle count, an area
 // component, a II or a simulator counter — down to the last bit of a
@@ -156,9 +157,9 @@ TEST(EstimateDigest, SpaceSimulations) {
   EXPECT_EQ(D.value(), 0xb1576c5f7b13cd28u) << hex({D.value()});
 }
 
-TEST(EstimateDigest, SimAccuracyCorpusSimulations) {
-  // The hand-written specs bench/sim_accuracy.cpp sweeps, plus the
-  // MachSuite baselines.
+/// The hand-written specs bench/sim_accuracy.cpp sweeps, plus the
+/// MachSuite baselines and rewrites.
+std::vector<KernelSpec> simAccuracyCorpus() {
   std::vector<KernelSpec> Corpus;
   for (int64_t U = 1; U <= 10; ++U)
     Corpus.push_back(gemm512(U, 1));
@@ -199,6 +200,11 @@ TEST(EstimateDigest, SimAccuracyCorpusSimulations) {
     Corpus.push_back(B.Rewrite);
   }
 
+  return Corpus;
+}
+
+TEST(EstimateDigest, SimAccuracyCorpusSimulations) {
+  std::vector<KernelSpec> Corpus = simAccuracyCorpus();
   Digest Sim, Exact;
   for (const KernelSpec &K : Corpus) {
     cyclesim::SimResult S = cyclesim::simulate(K);
@@ -207,6 +213,28 @@ TEST(EstimateDigest, SimAccuracyCorpusSimulations) {
   }
   std::vector<uint64_t> Got = {Sim.value(), Exact.value()};
   std::vector<uint64_t> Want = {0xc187232619c983c3, 0x2a4d94b314c3851c};
+  EXPECT_EQ(Got, Want) << hex(Got);
+}
+
+TEST(EstimateDigest, SpecHashes) {
+  // The memo and persistent-cache keys of every spec the digests above
+  // walk: the strided DSE configurations, then the simulation corpus
+  // (gemm512 and the MachSuite baselines and rewrites among it). A spec
+  // layout change that moves a key would silently cold-start every cache.
+  Digest D;
+  auto Walk = [&D](const auto &Space, auto Spec, size_t Stride) {
+    for (size_t I = 0; I < Space.size(); I += Stride)
+      D.num(specHash(Spec(Space[I])));
+  };
+  Walk(gemmBlockedSpace(), gemmBlockedSpec, 7);
+  Walk(stencil2dSpace(), stencil2dSpec, 1);
+  Walk(mdKnnSpace(), mdKnnSpec, 3);
+  Walk(mdGridSpace(), mdGridSpec, 5);
+  const uint64_t Spaces = D.value();
+  for (const KernelSpec &K : simAccuracyCorpus())
+    D.num(specHash(K));
+  std::vector<uint64_t> Got = {Spaces, D.value()};
+  std::vector<uint64_t> Want = {0x61c12d2059bb838c, 0xdb424598aa407753};
   EXPECT_EQ(Got, Want) << hex(Got);
 }
 

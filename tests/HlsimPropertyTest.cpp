@@ -28,16 +28,17 @@ namespace {
 std::set<int64_t> bruteForceBanks(const KernelSpec &K, const Access &A,
                                   const std::vector<int64_t> &PeOffsets) {
   const ArraySpec *Arr = K.findArray(A.Array);
+  const std::vector<Loop> &Loops = K.Nests[0].Loops;
   std::set<int64_t> Banks;
   // Enumerate all sequential iteration points.
   std::vector<int64_t> Groups;
-  for (const Loop &L : K.Loops)
+  for (const Loop &L : Loops)
     Groups.push_back(L.Trip / L.Unroll);
-  std::vector<int64_t> T(K.Loops.size(), 0);
+  std::vector<int64_t> T(Loops.size(), 0);
   while (true) {
     std::map<std::string, int64_t> Vals;
-    for (size_t L = 0; L != K.Loops.size(); ++L)
-      Vals[K.Loops[L].Var] = K.Loops[L].Unroll * T[L] + PeOffsets[L];
+    for (size_t L = 0; L != Loops.size(); ++L)
+      Vals[Loops[L].Var] = Loops[L].Unroll * T[L] + PeOffsets[L];
     int64_t Flat = 0;
     for (size_t D = 0; D != A.Idx.size(); ++D) {
       int64_t P = Arr->Partition[D];
@@ -46,7 +47,7 @@ std::set<int64_t> bruteForceBanks(const KernelSpec &K, const Access &A,
     }
     Banks.insert(Flat);
     // Advance the odometer.
-    size_t L = K.Loops.size();
+    size_t L = Loops.size();
     while (L-- > 0) {
       if (++T[L] < Groups[L])
         break;
@@ -67,8 +68,8 @@ KernelSpec smallKernel(int64_t Trip, int64_t Unroll, int64_t Partition,
   K.FloatingPoint = false;
   K.Arrays = {{"a", {Trip * std::max<int64_t>(Coeff, 1) + 64},
                {Partition}, 1, 32}};
-  K.Loops = {{"i", Trip, Unroll}};
-  K.Body = {{"a", {AffineExpr::var("i", Coeff, Offset)}, false}};
+  K.Nests[0].Loops = {{"i", Trip, Unroll}};
+  K.Nests[0].Body = {{"a", {AffineExpr::var("i", Coeff, Offset)}, false}};
   return K;
 }
 
@@ -87,7 +88,7 @@ TEST_P(ReachCrossValidation, AnalyticReachCoversBruteForce) {
   // must stay within the partition range, and the estimator must accept
   // the kernel without crashing and produce a deterministic result.
   for (int64_t J = 0; J != Unroll; ++J) {
-    std::set<int64_t> Banks = bruteForceBanks(K, K.Body[0], {J});
+    std::set<int64_t> Banks = bruteForceBanks(K, K.Nests[0].Body[0], {J});
     for (int64_t B : Banks) {
       EXPECT_GE(B, 0);
       EXPECT_LT(B, Partition);
@@ -153,18 +154,17 @@ TEST_P(NoiseHygiene, ViolatingPointsArePerturbedButBounded) {
     GTEST_SKIP();
   CostModel NoNoise;
   NoNoise.ModelHeuristicNoise = false;
-  CostModel Model;
   Estimate With = estimate(gemm512Lockstep(K));
   Estimate Without = estimate(gemm512Lockstep(K), NoNoise);
   EXPECT_GE(With.Lut, Without.Lut) << "k=" << K;
   EXPECT_LE(static_cast<double>(With.Lut),
-            (1.0 + Model.NoiseAmplitudeArea) *
+            (1.0 + model::NoiseAmplitudeArea) *
                     static_cast<double>(Without.Lut) +
                 1.0)
       << "k=" << K;
   EXPECT_GE(With.Cycles, Without.Cycles);
   EXPECT_LE(With.Cycles,
-            (1.0 + Model.NoiseAmplitudeLatency) * Without.Cycles + 1.0);
+            (1.0 + model::NoiseAmplitudeLatency) * Without.Cycles + 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NoiseHygiene,

@@ -151,8 +151,8 @@ TEST(Hlsim, SmallArraysBecomeLutMemories) {
   K.Name = "tiny";
   K.FloatingPoint = false;
   K.Arrays = {{"t", {8}, {1}, 1, 32}};
-  K.Loops = {{"i", 8, 1}};
-  K.Body = {{"t", {AffineExpr::var("i")}, false}};
+  K.Nests[0].Loops = {{"i", 8, 1}};
+  K.Nests[0].Body = {{"t", {AffineExpr::var("i")}, false}};
   Estimate E = estimate(K);
   EXPECT_EQ(E.Bram, 0);
   EXPECT_GT(E.LutMem, 0);

@@ -142,8 +142,13 @@ TEST(Kernels, SpecsAreConsistentWithSources) {
   C.Unroll3 = 8;
   hlsim::KernelSpec K = gemmBlockedSpec(C);
   EXPECT_EQ(K.Arrays[0].Partition[0], 4);
-  EXPECT_EQ(K.Loops.back().Unroll, 8);
-  EXPECT_EQ(K.totalIters(), 16LL * 16 * 128 * 8 * 8);
+  ASSERT_EQ(K.Nests.size(), 1u);
+  const std::vector<hlsim::Loop> &Loops = K.Nests[0].Loops;
+  EXPECT_EQ(Loops.back().Unroll, 8);
+  int64_t Iters = 1;
+  for (const hlsim::Loop &L : Loops)
+    Iters *= L.Trip;
+  EXPECT_EQ(Iters, 16LL * 16 * 128 * 8 * 8);
 }
 
 } // namespace

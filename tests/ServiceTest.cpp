@@ -25,6 +25,7 @@
 #include "fuzz/ProtoFuzz.h"
 #include "kernels/Kernels.h"
 #include "service/TcpServer.h"
+#include "support/Metrics.h"
 #include "support/Socket.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +43,20 @@ using namespace dahlia::service;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// Polls \p Done until it holds, or until a generous deadline passes that
+/// only a wedged server reaches. Tests wait on the state they need, never
+/// on elapsed time. Returns whether \p Done held.
+template <typename Pred> bool waitUntil(Pred Done) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (!Done()) {
+    if (std::chrono::steady_clock::now() > Deadline)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 const char *AcceptedSrc = "decl A: float[8 bank 4];\n"
                           "for (let i = 0..8) unroll 4 { A[i] := 1.0; }\n";
@@ -765,9 +780,11 @@ TEST(TcpServer, SlowStreamReaderIsBoundedAndDoesNotStallOthers) {
   SlowOut << '\n';
   SlowOut.flush();
 
-  // Give the server time to compute the sweeps and wedge the slow
-  // connection's output against the cap.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // Wait until the server has computed enough of the sweeps to wedge the
+  // slow connection's output against the cap.
+  EXPECT_TRUE(waitUntil([&] {
+    return Srv.stats().PeakConnectionBufferedBytes >= TO.MaxWriteBuffer;
+  })) << "the slow connection never reached its write cap";
 
   // Four other clients run full workloads to completion while the slow
   // reader's responses sit queued: joining these threads is the liveness
@@ -1310,6 +1327,9 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
   // Watcher connection: a bounded stream of 12 records at 100ms. The
   // call blocks until the terminal line, so it runs on its own thread
   // while the main thread drives a sweep through a second connection.
+  const metrics::Counter &WatchStreams =
+      metrics::counter("server.watch_streams");
+  const uint64_t WatchStreamsBefore = WatchStreams.value();
   ClientResponse WatchR;
   std::atomic<bool> WatchOk{false};
   std::thread Watcher([&] {
@@ -1324,10 +1344,12 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
     WatchOk.store(true);
   });
 
-  // Let the watch registration land in an earlier epoch, then run a
-  // sweep long enough to span several watch intervals: the whole space,
-  // which takes well over half a second at two threads.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Wait until the server has registered the watch, then run a sweep
+  // long enough to span several watch intervals: the whole space, which
+  // takes well over half a second at two threads.
+  EXPECT_TRUE(
+      waitUntil([&] { return WatchStreams.value() > WatchStreamsBefore; }))
+      << "the watch was never registered";
   {
     int Fd = connectLoopback(Srv.port());
     ASSERT_GE(Fd, 0);

@@ -47,6 +47,22 @@ struct Expectation {
   const char *Note = "";
 };
 
+/// Product of \p N's trip counts.
+int64_t totalIters(const hlsim::LoopNest &N) {
+  int64_t I = 1;
+  for (const hlsim::Loop &L : N.Loops)
+    I *= L.Trip;
+  return I;
+}
+
+/// True when any nest of \p K carries an accumulation chain.
+bool anyAccumulator(const hlsim::KernelSpec &K) {
+  for (const hlsim::LoopNest &N : K.Nests)
+    if (N.HasAccumulator)
+      return true;
+  return false;
+}
+
 /// Runs the port through the pipeline, extracts a spec, and compares it
 /// against \p Expected under \p E.
 void validate(const std::string &Name, const std::string &Source,
@@ -74,31 +90,30 @@ void validate(const std::string &Name, const std::string &Source,
   if (E.CompareLoops) {
     // Every nest, in source order: trip/unroll sequence plus the
     // while-bound marker.
-    ASSERT_EQ(Got.nestCount(), Expected.nestCount());
-    for (size_t N = 0; N != Expected.nestCount(); ++N) {
-      const auto GotN = Got.nest(N);
-      const auto ExpN = Expected.nest(N);
-      ASSERT_EQ(GotN.Loops->size(), ExpN.Loops->size()) << "nest " << N;
-      for (size_t I = 0; I != ExpN.Loops->size(); ++I) {
-        EXPECT_EQ((*GotN.Loops)[I].Trip, (*ExpN.Loops)[I].Trip)
+    ASSERT_EQ(Got.Nests.size(), Expected.Nests.size());
+    for (size_t N = 0; N != Expected.Nests.size(); ++N) {
+      const std::vector<hlsim::Loop> &GotL = Got.Nests[N].Loops;
+      const std::vector<hlsim::Loop> &ExpL = Expected.Nests[N].Loops;
+      ASSERT_EQ(GotL.size(), ExpL.size()) << "nest " << N;
+      for (size_t I = 0; I != ExpL.size(); ++I) {
+        EXPECT_EQ(GotL[I].Trip, ExpL[I].Trip) << "nest " << N << " loop " << I;
+        EXPECT_EQ(GotL[I].Unroll, ExpL[I].Unroll)
             << "nest " << N << " loop " << I;
-        EXPECT_EQ((*GotN.Loops)[I].Unroll, (*ExpN.Loops)[I].Unroll)
-            << "nest " << N << " loop " << I;
-        EXPECT_EQ((*GotN.Loops)[I].IsWhile, (*ExpN.Loops)[I].IsWhile)
+        EXPECT_EQ(GotL[I].IsWhile, ExpL[I].IsWhile)
             << "nest " << N << " loop " << I;
       }
     }
   } else if (E.CompareTotalIters) {
-    EXPECT_EQ(Got.totalIters(), Expected.totalIters());
-    EXPECT_EQ(Got.totalUnroll(), Expected.totalUnroll());
+    EXPECT_EQ(totalIters(Got.Nests[0]), totalIters(Expected.Nests[0]));
+    EXPECT_EQ(Got.Nests[0].totalUnroll(), Expected.Nests[0].totalUnroll());
   }
 
   EXPECT_EQ(Got.FloatingPoint, Expected.FloatingPoint);
-  EXPECT_EQ(Got.anyAccumulator(), Expected.anyAccumulator());
+  EXPECT_EQ(anyAccumulator(Got), anyAccumulator(Expected));
 
   if (E.CompareOps) {
-    EXPECT_EQ(Got.MulOps, Expected.MulOps);
-    EXPECT_EQ(Got.AddOps, Expected.AddOps);
+    EXPECT_EQ(Got.Nests[0].MulOps, Expected.Nests[0].MulOps);
+    EXPECT_EQ(Got.Nests[0].AddOps, Expected.Nests[0].AddOps);
   }
 }
 
@@ -205,12 +220,13 @@ TEST(SpecValidation, KmpWhileNestHasStaticBound) {
     ASSERT_TRUE(R.ok()) << R.firstError();
     Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
     ASSERT_TRUE(bool(Spec));
-    ASSERT_EQ(Spec->Loops.size(), 1u);
-    EXPECT_EQ(Spec->Loops[0].Trip, 32411);
-    EXPECT_EQ(Spec->Loops[0].Unroll, 1);
-    EXPECT_TRUE(Spec->Loops[0].IsWhile);
-    EXPECT_TRUE(Spec->ExtraNests.empty());
-    EXPECT_EQ(Spec->totalIters(), B.Rewrite.totalIters());
+    ASSERT_EQ(Spec->Nests.size(), 1u);
+    const std::vector<hlsim::Loop> &Loops = Spec->Nests[0].Loops;
+    ASSERT_EQ(Loops.size(), 1u);
+    EXPECT_EQ(Loops[0].Trip, 32411);
+    EXPECT_EQ(Loops[0].Unroll, 1);
+    EXPECT_TRUE(Loops[0].IsWhile);
+    EXPECT_EQ(totalIters(Spec->Nests[0]), totalIters(B.Rewrite.Nests[0]));
   }
 }
 
@@ -229,7 +245,7 @@ TEST(SpecValidation, GuardedIncrementHasNoStaticBound) {
   ASSERT_TRUE(R.ok()) << R.firstError();
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
   ASSERT_TRUE(bool(Spec));
-  EXPECT_TRUE(Spec->Loops.empty());
+  EXPECT_TRUE(Spec->Nests[0].Loops.empty());
 }
 
 TEST(SpecValidation, SequentialWhilesTrackTheCounterValue) {
@@ -255,11 +271,11 @@ TEST(SpecValidation, SequentialWhilesTrackTheCounterValue) {
   ASSERT_TRUE(R.ok()) << R.firstError();
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
   ASSERT_TRUE(bool(Spec));
-  ASSERT_EQ(Spec->Loops.size(), 1u);
-  EXPECT_EQ(Spec->Loops[0].Trip, 10);
-  ASSERT_EQ(Spec->ExtraNests.size(), 1u);
-  ASSERT_EQ(Spec->ExtraNests[0].Loops.size(), 1u);
-  EXPECT_EQ(Spec->ExtraNests[0].Loops[0].Trip, 10);
+  ASSERT_EQ(Spec->Nests.size(), 2u);
+  for (const hlsim::LoopNest &N : Spec->Nests) {
+    ASSERT_EQ(N.Loops.size(), 1u);
+    EXPECT_EQ(N.Loops[0].Trip, 10);
+  }
 }
 
 TEST(SpecValidation, DoubleIncrementHasNoStaticBound) {
@@ -278,7 +294,7 @@ TEST(SpecValidation, DoubleIncrementHasNoStaticBound) {
   ASSERT_TRUE(R.ok()) << R.firstError();
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
   ASSERT_TRUE(bool(Spec));
-  EXPECT_TRUE(Spec->Loops.empty());
+  EXPECT_TRUE(Spec->Nests[0].Loops.empty());
 }
 
 TEST(SpecValidation, ReassignedCounterLosesItsBound) {
@@ -299,7 +315,7 @@ TEST(SpecValidation, ReassignedCounterLosesItsBound) {
   ASSERT_TRUE(R.ok()) << R.firstError();
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
   ASSERT_TRUE(bool(Spec));
-  EXPECT_TRUE(Spec->Loops.empty());
+  EXPECT_TRUE(Spec->Nests[0].Loops.empty());
 }
 
 TEST(SpecValidation, DataDependentWhileStaysUnmodelled) {
@@ -316,7 +332,7 @@ TEST(SpecValidation, DataDependentWhileStaysUnmodelled) {
   ASSERT_TRUE(R.ok()) << R.firstError();
   Result<hlsim::KernelSpec> Spec = extractKernelSpec(*R.Prog);
   ASSERT_TRUE(bool(Spec));
-  EXPECT_TRUE(Spec->Loops.empty());
+  EXPECT_TRUE(Spec->Nests[0].Loops.empty());
 }
 
 } // namespace
