@@ -14,8 +14,9 @@
 //
 // --assert-consistent machine-checks the journal's invariants (framing,
 // dense seq numbering, well-typed envelopes, every known kind's required
-// fields, every front member fully estimated and never pruned, every
-// prune's dominator estimated) and exits non-zero listing violations —
+// fields, each sweep-end's `pruned` equal to its prune events, every
+// front member fully estimated and never pruned, every prune's dominator
+// estimated) and exits non-zero listing violations —
 // CI runs it on the fig7 and cluster smoke journals.
 //
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,6 @@
 
 #include "dse/DseEngine.h"
 
-#include <algorithm>
-#include <functional>
 #include <sstream>
 
 using namespace dahlia::dse;
@@ -40,23 +38,6 @@ dahlia::dse::paretoFront(const std::vector<Objectives> &Points) {
   for (size_t I = 0; I != Points.size(); ++I)
     Front.insert(I, Points[I]);
   return Front.indices();
-}
-
-void dahlia::dse::enumerateConfigs(
-    const std::vector<std::vector<int64_t>> &ParamValues,
-    const std::function<void(const std::vector<int64_t> &)> &Visit) {
-  std::vector<int64_t> Current(ParamValues.size(), 0);
-  std::function<void(size_t)> Recurse = [&](size_t D) {
-    if (D == ParamValues.size()) {
-      Visit(Current);
-      return;
-    }
-    for (int64_t V : ParamValues[D]) {
-      Current[D] = V;
-      Recurse(D + 1);
-    }
-  };
-  Recurse(0);
 }
 
 std::string dahlia::dse::fractionString(size_t Num, size_t Denom) {

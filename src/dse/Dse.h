@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Multi-objective design-space exploration (Section 5.2): configuration
-/// enumeration, Pareto-front computation over the five objectives the
-/// paper uses (cycle latency, LUTs, FFs, BRAMs, DSPs), and small table
-/// helpers for the benchmark harness.
+/// Multi-objective design-space exploration (Section 5.2): Pareto-front
+/// computation over the five objectives the paper uses (cycle latency,
+/// LUTs, FFs, BRAMs, DSPs), and small table helpers for the benchmark
+/// harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,19 +18,10 @@
 
 #include "hlsim/Estimator.h"
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace dahlia::dse {
-
-/// One evaluated design point.
-struct DesignPoint {
-  std::vector<int64_t> Config; ///< Parameter values (caller-defined order).
-  hlsim::Estimate Est;
-  bool Accepted = false; ///< Accepted by the Dahlia type checker.
-};
 
 /// The minimization objectives of Section 5.2.
 struct Objectives {
@@ -55,12 +46,6 @@ bool equalObjectives(const Objectives &A, const Objectives &B);
 /// Implemented on the incremental \c ParetoFront of DseEngine.h, so batch
 /// and streamed exploration agree on membership.
 std::vector<size_t> paretoFront(const std::vector<Objectives> &Points);
-
-/// Enumerates the cross product of per-parameter value lists, invoking
-/// \p Visit with each assignment.
-void enumerateConfigs(const std::vector<std::vector<int64_t>> &ParamValues,
-                      const std::function<void(const std::vector<int64_t> &)>
-                          &Visit);
 
 /// Fraction formatter: "354/32000 (1.1%)".
 std::string fractionString(size_t Num, size_t Denom);

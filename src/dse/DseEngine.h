@@ -185,10 +185,11 @@ std::optional<ShardSpec> parseShard(std::string_view Spec);
 
 /// One progress observation of a running exploration, delivered through
 /// DseOptions::OnProgress and journaled as `progress` events. Phases are
-/// strategy steps ("check", "bound-coarse", "walk", "exact", ...);
-/// Done/Total/EtaSeconds are phase-relative — the pruned strategy cannot
-/// know its full-estimate workload up front, so whole-sweep ETAs would
-/// lie.
+/// strategy steps: "sweep" (exhaustive), "check" and "bound-coarse"
+/// (pareto-prune), and "walk" (the ladder walk of pareto-prune, and of
+/// exhaustive under the exact top rung); Done/Total/EtaSeconds are
+/// phase-relative — the pruned strategy cannot know its full-estimate
+/// workload up front, so whole-sweep ETAs would lie.
 struct DseProgress {
   const char *Phase = "";
   size_t Done = 0;          ///< work items finished in this phase
@@ -249,14 +250,14 @@ struct DseOptions {
   StrategyKind Strategy = StrategyKind::Exhaustive;
   /// Shard of the space this run explores (whole space by default).
   ShardSpec Shard;
-  /// Re-rank the front on the cycle-level simulator (hlsim
-  /// Fidelity::Exact): after the configured strategy finishes, its
-  /// full-fidelity front members are promoted to Exact estimates, plus
-  /// every full-estimated config whose Full objectives (an admissible
-  /// lower bound of its Exact point) are not strictly dominated by a
-  /// promoted point — so over the full-estimated set the resulting
-  /// membership is exactly what an all-Exact sweep of that set computes,
-  /// at a tiny fraction of the simulations.
+  /// Rank the front on the cycle-level simulator (hlsim
+  /// Fidelity::Exact): the ladder walk's top rung becomes Exact instead
+  /// of Full. pareto-prune climbs each candidate Coarse → Medium → Full →
+  /// Exact; exhaustive walks its Full-estimated configs from Full to
+  /// Exact. A candidate is simulated only if no rung's bound is strictly
+  /// dominated by a simulated point, so either strategy's membership is
+  /// exactly what an all-Exact sweep of the space computes, at a tiny
+  /// fraction of the simulations.
   bool ExactTopRung = false;
   /// Invoked periodically (at most every ProgressIntervalSec) from the
   /// thread that called DseEngine::explore — see ProgressSink. Null
@@ -278,7 +279,7 @@ struct DsePoint {
   bool Accepted = false;  ///< Dahlia type checker verdict.
   bool Estimated = false; ///< False when estimation was skipped.
   /// True when Est/Obj carry Exact-fidelity (simulated) values; only set
-  /// by the exact-top-rung pass.
+  /// when the exact top rung is on.
   bool ExactEvaluated = false;
 };
 
@@ -294,7 +295,8 @@ struct DseStats {
   /// pruned strategy.
   size_t LowFidelityEstimates = 0;
   /// Configurations skipped as provably dominated (bound strictly
-  /// dominated by an estimated point's actual objectives).
+  /// dominated by a walked point's top-rung objectives); one per `prune`
+  /// journal event, whatever the bound's rung.
   size_t Pruned = 0;
   /// Exact-top-rung: configurations promoted to a cycle-level simulation
   /// (the acceptance bound measures this against the space size).

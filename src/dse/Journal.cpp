@@ -471,6 +471,13 @@ std::vector<std::string> SearchJournal::checkConsistent() const {
       } else if (E.Kind == "sweep-end") {
         for (const Json &M : E.Fields.at("front").asArray())
           FinalFront.push_back(static_cast<uint64_t>(M.asInt()));
+        // The sweep's counter and its journal must agree on the prunes.
+        if (E.Fields.contains("pruned") &&
+            E.Fields.at("pruned").asInt() !=
+                static_cast<int64_t>(Prunes.size()))
+          Fail(Tag + "sweep-end claims " + E.Fields.at("pruned").dump() +
+               " pruned, the sweep journals " +
+               std::to_string(Prunes.size()) + " prune events");
       }
       // Every config-bearing event must reference an enumerated config.
       if (E.Kind != "enumerated" && E.Fields.contains("config") &&

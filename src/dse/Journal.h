@@ -99,10 +99,10 @@ public:
   /// journal-end event count, dense seq numbering), every record's
   /// envelope (integer seq and ts_us, a `[a-z][a-z0-9-]*` kind), every
   /// known kind's required fields (eventlog::kKindSchemas; unknown kinds
-  /// pass), every sweep closed,
-  /// every front member fully estimated / finally entered / never
-  /// pruned, every prune's dominator fully estimated, and every
-  /// config-bearing event scoped to an enumerated config.
+  /// pass), every sweep closed, each sweep-end's `pruned` equal to the
+  /// sweep's prune events, every front member fully estimated / finally
+  /// entered / never pruned, every prune's dominator fully estimated, and
+  /// every config-bearing event scoped to an enumerated config.
   std::vector<std::string> checkConsistent() const;
 
 private:

@@ -204,21 +204,18 @@ void checkVerdicts(const SearchContext &Ctx, DseResult &R) {
   R.Stats.Accepted = Accepted.load();
 }
 
-/// Parallel lower-bound estimation of \p Cand at fidelity \p F; result is
+/// Parallel Coarse lower-bound estimation of \p Cand; the result is
 /// index-aligned with \p Cand.
-std::vector<Objectives> boundBatch(const SearchContext &Ctx,
-                                   const std::vector<size_t> &Cand,
-                                   hlsim::Fidelity F) {
-  TRACE_SPAN(F == hlsim::Fidelity::Coarse ? "dse.bound.coarse"
-                                          : "dse.bound.medium");
+std::vector<Objectives> coarseBounds(const SearchContext &Ctx,
+                                     const std::vector<size_t> &Cand) {
+  TRACE_SPAN("dse.bound.coarse");
   if (Ctx.Progress)
-    Ctx.Progress->beginPhase(F == hlsim::Fidelity::Coarse ? "bound-coarse"
-                                                          : "bound-medium",
-                             Cand.size());
+    Ctx.Progress->beginPhase("bound-coarse", Cand.size());
   std::vector<Objectives> Out(Cand.size());
   parallelOver(Ctx, Cand.size(), [&](unsigned, size_t B, size_t E) {
     for (size_t K = B; K != E; ++K)
-      Out[K] = Objectives::of(estimateOne(Ctx, Cand[K], F));
+      Out[K] = Objectives::of(
+          estimateOne(Ctx, Cand[K], hlsim::Fidelity::Coarse));
   });
   return Out;
 }
@@ -241,17 +238,14 @@ void recordExact(const SearchContext &Ctx, DseResult &R, size_t I) {
   Pt.ExactEvaluated = true;
 }
 
-/// Positions of \p Pos (into a candidate list) sorted by scalarized bound
-/// score, ascending; ties break toward the lower position (== lower
-/// configuration index, since candidates are ascending). The score is a
-/// max-normalized objective sum over the ranked population — only used to
-/// *order* work, never to decide membership, so any deterministic
-/// heuristic is sound here.
-std::vector<size_t> rankByBound(const std::vector<size_t> &Pos,
-                                const std::vector<Objectives> &Bound) {
+/// Positions of \p Bound sorted by scalarized bound score, ascending; ties
+/// break toward the lower position (== lower configuration index, since
+/// candidates are ascending). The score is a max-normalized objective sum
+/// over the ranked population — only used to *order* work, never to
+/// decide membership, so any deterministic heuristic is sound here.
+std::vector<size_t> rankByBound(const std::vector<Objectives> &Bound) {
   Objectives Max;
-  for (size_t P : Pos) {
-    const Objectives &O = Bound[P];
+  for (const Objectives &O : Bound) {
     Max.Latency = std::max(Max.Latency, O.Latency);
     Max.Lut = std::max(Max.Lut, O.Lut);
     Max.Ff = std::max(Max.Ff, O.Ff);
@@ -259,95 +253,49 @@ std::vector<size_t> rankByBound(const std::vector<size_t> &Pos,
     Max.Dsp = std::max(Max.Dsp, O.Dsp);
   }
   auto Norm = [](double V, double M) { return M > 0 ? V / M : 0.0; };
-  std::vector<double> Score(Pos.size());
-  for (size_t K = 0; K != Pos.size(); ++K) {
-    const Objectives &O = Bound[Pos[K]];
+  std::vector<double> Score(Bound.size());
+  for (size_t K = 0; K != Bound.size(); ++K) {
+    const Objectives &O = Bound[K];
     Score[K] = Norm(O.Latency, Max.Latency) + Norm(O.Lut, Max.Lut) +
                Norm(O.Ff, Max.Ff) + Norm(O.Bram, Max.Bram) +
                Norm(O.Dsp, Max.Dsp);
   }
-  std::vector<size_t> Order(Pos.size());
+  std::vector<size_t> Order(Bound.size());
   for (size_t K = 0; K != Order.size(); ++K)
     Order[K] = K;
   std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
     if (Score[A] != Score[B])
       return Score[A] < Score[B];
-    return Pos[A] < Pos[B];
+    return A < B;
   });
-  std::vector<size_t> Out(Order.size());
-  for (size_t K = 0; K != Order.size(); ++K)
-    Out[K] = Pos[Order[K]];
-  return Out;
+  return Order;
 }
 
 //===----------------------------------------------------------------------===//
-// Exact top rung — promote the front to cycle-level simulation
+// The ladder walk — dominance pruning on admissible bounds
 //===----------------------------------------------------------------------===//
 
-/// Re-ranks front membership on hlsim Fidelity::Exact (the cycle-level
-/// simulator). Every Full-estimated config's Full objectives are an
-/// admissible lower bound of its Exact point (the fidelity ladder's top
-/// step), so the pass mirrors pareto-prune's walk one rung up:
+/// The dominance walk both strategies share. Visits \p Cand (ascending)
+/// in bound-score order; \p Bound holds each candidate's objectives at
+/// fidelity \p From. A candidate climbs the fidelity ladder one rung at a
+/// time toward \p Top and is pruned as soon as its current bound is
+/// strictly dominated by a walked point's \p Top objectives *in every
+/// front it could join*; a candidate that reaches \p Top joins the fronts.
 ///
-///   1. the strategy's Full-fidelity front members (overall + accepted)
-///      are simulated in parallel;
-///   2. the remaining Full-estimated configs are walked in bound-score
-///      order; one is simulated unless its Full objectives are strictly
-///      dominated by a simulated point's Exact objectives *in every front
-///      it could join* — an exclusion that provably cannot drop a member
-///      of the all-Exact front over the Full-estimated set.
-///
-/// With the Exhaustive strategy (everything Full-estimated) the result is
-/// therefore exactly the front an all-Exact sweep of the whole space
-/// computes. Under pareto-prune it is exact over the Full-estimated set,
-/// which already provably contains the Full-fidelity front.
-void exactTopRungPass(const SearchContext &Ctx, DseResult &R) {
-  TRACE_SPAN("dse.exact_top_rung");
-  std::vector<size_t> Cand;     ///< Full-estimated configs, ascending.
-  std::vector<Objectives> Bound; ///< Their Full objectives (the bounds).
-  for (size_t I : Ctx.Indices) {
-    if (R.Points[I].Estimated) {
-      Cand.push_back(I);
-      Bound.push_back(R.Points[I].Obj);
-    }
-  }
-  auto PosOf = [&](size_t I) {
-    return static_cast<size_t>(
-        std::lower_bound(Cand.begin(), Cand.end(), I) - Cand.begin());
-  };
-
-  // Seed: simulate the Full-fidelity front members in parallel.
-  std::vector<size_t> Seed = R.Front;
-  Seed.insert(Seed.end(), R.AcceptedFront.begin(), R.AcceptedFront.end());
-  std::sort(Seed.begin(), Seed.end());
-  Seed.erase(std::unique(Seed.begin(), Seed.end()), Seed.end());
-  if (Ctx.Progress)
-    Ctx.Progress->beginPhase("exact", Seed.size());
-  parallelOver(Ctx, Seed.size(), [&](unsigned, size_t B, size_t E) {
-    for (size_t K = B; K != E; ++K)
-      recordExact(Ctx, R, Seed[K]);
-  });
-  R.Stats.ExactEstimates += Seed.size();
-
-  std::vector<char> Promoted(Cand.size(), 0);
+/// Every rung is an admissible bound of every rung above it, so a prune
+/// never drops a member of the all-\p Top front over \p Cand. Decisions
+/// stay valid as the fronts evolve: a member can only be displaced by a
+/// point that dominates it, which then strictly dominates the same bounds
+/// the member pruned. Visiting in bound-score order builds the front up
+/// fast, so most later candidates are pruned on a cheap rung.
+void ladderWalk(const SearchContext &Ctx, DseResult &R,
+                const std::vector<size_t> &Cand, std::vector<Objectives> Bound,
+                hlsim::Fidelity From, hlsim::Fidelity Top) {
+  TRACE_SPAN("dse.ladder_walk");
   ParetoFront All, Acc;
-  for (size_t I : Seed) {
-    Promoted[PosOf(I)] = 1;
-    insertLogged(All, "all", I, R.Points[I].Obj);
-    if (R.Points[I].Accepted)
-      insertLogged(Acc, "accepted", I, R.Points[I].Obj);
-  }
-
-  // Walk the rest in bound-score order (decisions stay valid as the fronts
-  // evolve — a member can only be displaced by a dominating point, which
-  // then dominates the same bounds).
-  std::vector<size_t> Rest;
-  for (size_t Pos = 0; Pos != Cand.size(); ++Pos)
-    if (!Promoted[Pos])
-      Rest.push_back(Pos);
   if (Ctx.Progress)
-    Ctx.Progress->beginPhase("exact-rescue", Rest.size());
-  for (size_t Pos : rankByBound(Rest, Bound)) {
+    Ctx.Progress->beginPhase("walk", Cand.size());
+  for (size_t Pos : rankByBound(Bound)) {
     size_t I = Cand[Pos];
     bool IsAccepted = R.Points[I].Accepted;
     if (ProgressSink *PS = Ctx.Progress) {
@@ -355,27 +303,47 @@ void exactTopRungPass(const SearchContext &Ctx, DseResult &R) {
       PS->setFrontSize(All.size());
       PS->maybeTick();
     }
-    if (All.dominatesPoint(Bound[Pos]) &&
-        (!IsAccepted || Acc.dominatesPoint(Bound[Pos]))) {
-      // The Full objectives (this rung's admissible bound) are strictly
-      // dominated by a simulated point everywhere I could land.
-      if (eventlog::enabled())
-        eventlog::emit("prune",
-                       eventlog::Record()
-                           .field("config", I)
-                           .field("reason", "dominated")
-                           .field("dominator",
-                                  All.dominatorOf(Bound[Pos]).value_or(I))
-                           .field("bound_fidelity", "full"));
-      continue;
+    hlsim::Fidelity F = From;
+    while (F != Top) {
+      const Objectives &B = Bound[Pos];
+      if (All.dominatesPoint(B) && (!IsAccepted || Acc.dominatesPoint(B))) {
+        // Machine-readable prune provenance: which front member's
+        // objectives dominated this bound, and at what rung the cut
+        // happened (dahlia-dse-report --why-pruned).
+        ++R.Stats.Pruned;
+        if (eventlog::enabled())
+          eventlog::emit("prune", eventlog::Record()
+                                      .field("config", I)
+                                      .field("reason", "dominated")
+                                      .field("dominator",
+                                             All.dominatorOf(B).value_or(I))
+                                      .field("bound_fidelity",
+                                             hlsim::fidelityName(F)));
+        break;
+      }
+      // Climb one rung. Only the Full and Exact rungs write the point's
+      // objectives; a Medium estimate just tightens the bound.
+      F = hlsim::Fidelity(static_cast<uint8_t>(F) + 1);
+      if (F == hlsim::Fidelity::Medium) {
+        Bound[Pos] = Objectives::of(estimateOne(Ctx, I, F));
+        ++R.Stats.LowFidelityEstimates;
+        continue;
+      }
+      if (F == hlsim::Fidelity::Full) {
+        recordFull(Ctx, R, I);
+        ++R.Stats.Estimated;
+      } else {
+        recordExact(Ctx, R, I);
+        ++R.Stats.ExactEstimates;
+      }
+      Bound[Pos] = R.Points[I].Obj;
     }
-    recordExact(Ctx, R, I);
-    ++R.Stats.ExactEstimates;
-    insertLogged(All, "all", I, R.Points[I].Obj);
+    if (F != Top)
+      continue;
+    insertLogged(All, "all", I, Bound[Pos]);
     if (IsAccepted)
-      insertLogged(Acc, "accepted", I, R.Points[I].Obj);
+      insertLogged(Acc, "accepted", I, Bound[Pos]);
   }
-
   R.Front = All.indices();
   R.AcceptedFront = Acc.indices();
 }
@@ -413,6 +381,8 @@ void dahlia::dse::exhaustiveSearch(const SearchContext &Ctx, DseResult &R) {
         continue;
       recordFull(Ctx, R, I);
       ++T.Estimated;
+      if (Ctx.ExactTopRung)
+        continue; // The ladder walk below builds the (Exact) fronts.
       T.FrontAll.insert(I, Pt.Obj);
       if (Pt.Accepted)
         T.FrontAccepted.insert(I, Pt.Obj);
@@ -436,8 +406,20 @@ void dahlia::dse::exhaustiveSearch(const SearchContext &Ctx, DseResult &R) {
   R.Front = All.indices();
   R.AcceptedFront = Acc.indices();
 
-  if (Ctx.ExactTopRung)
-    exactTopRungPass(Ctx, R);
+  // The exact top rung: walk the Full-estimated configs from their Full
+  // objectives (admissible bounds of their Exact points) up to Exact.
+  if (Ctx.ExactTopRung) {
+    std::vector<size_t> Cand;
+    std::vector<Objectives> Bound;
+    for (size_t I : Ctx.Indices) {
+      if (R.Points[I].Estimated) {
+        Cand.push_back(I);
+        Bound.push_back(R.Points[I].Obj);
+      }
+    }
+    ladderWalk(Ctx, R, Cand, std::move(Bound), hlsim::Fidelity::Full,
+               hlsim::Fidelity::Exact);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -449,13 +431,11 @@ void dahlia::dse::exhaustiveSearch(const SearchContext &Ctx, DseResult &R) {
 ///   1. type-check everything (verdicts are needed for Stats.Accepted and
 ///      to protect the accepted-only front);
 ///   2. compute Coarse lower bounds for every estimation candidate;
-///   3. walk the candidates in bound-score order: skip a config iff its
-///      bound is strictly dominated by an estimated point's actual
-///      objectives *in every front it could join*; otherwise fully
-///      estimate it and fold it in.
+///   3. run the ladder walk from Coarse up to Full, or to Exact under the
+///      exact top rung.
 ///
-/// Step 3's skip test is exact (never drops a front member) because the
-/// fidelity ladder makes every bound admissible; see SearchStrategy.h.
+/// Step 3 is exact (never drops a front member) because the fidelity
+/// ladder makes every bound admissible; see SearchStrategy.h.
 void dahlia::dse::paretoPruneSearch(const SearchContext &Ctx, DseResult &R) {
   TRACE_SPAN("dse.pareto_prune");
   static metrics::Counter &PruneRuns =
@@ -472,81 +452,10 @@ void dahlia::dse::paretoPruneSearch(const SearchContext &Ctx, DseResult &R) {
     if (R.Points[I].Accepted || P.EstimateRejected)
       Cand.push_back(I);
 
-  // Coarse bounds for the whole candidate set.
-  std::vector<Objectives> Bound =
-      boundBatch(Ctx, Cand, hlsim::Fidelity::Coarse);
-  std::vector<hlsim::Fidelity> BoundFid(Cand.size(),
-                                        hlsim::Fidelity::Coarse);
   R.Stats.LowFidelityEstimates += Cand.size();
-
-  // Ordered prune walk. Processing in bound-score order builds the front
-  // up fast, so most later configs are pruned by the skip test. Decisions
-  // stay valid as the fronts evolve: a member can only be displaced by a
-  // point that dominates it, which then strictly dominates the same
-  // bounds the member pruned.
-  std::vector<size_t> AllPos(Cand.size());
-  for (size_t K = 0; K != AllPos.size(); ++K)
-    AllPos[K] = K;
-  ParetoFront All, Acc;
-  auto ProvablyDominated = [&](size_t Pos, bool IsAccepted) {
-    return All.dominatesPoint(Bound[Pos]) &&
-           (!IsAccepted || Acc.dominatesPoint(Bound[Pos]));
-  };
-  // Machine-readable prune provenance: which front member's actual
-  // objectives dominated this config's lower bound, and at what bound
-  // fidelity the cut happened (dahlia-dse-report --why-pruned).
-  auto logPrune = [&](size_t I, size_t Pos) {
-    if (eventlog::enabled())
-      eventlog::emit("prune",
-                     eventlog::Record()
-                         .field("config", I)
-                         .field("reason", "dominated")
-                         .field("dominator",
-                                All.dominatorOf(Bound[Pos]).value_or(I))
-                         .field("bound_fidelity",
-                                hlsim::fidelityName(BoundFid[Pos])));
-  };
-  if (Ctx.Progress)
-    Ctx.Progress->beginPhase("walk", Cand.size());
-  for (size_t Pos : rankByBound(AllPos, Bound)) {
-    size_t I = Cand[Pos];
-    bool IsAccepted = R.Points[I].Accepted;
-    if (ProgressSink *PS = Ctx.Progress) {
-      PS->add(1);
-      PS->setFrontSize(All.size());
-      PS->maybeTick();
-    }
-    if (ProvablyDominated(Pos, IsAccepted)) {
-      ++R.Stats.Pruned;
-      logPrune(I, Pos);
-      continue;
-    }
-    // Before paying full fidelity, tighten a Coarse bound one rung and
-    // re-test: Medium restores the mux model, which is what makes most
-    // rule-violating configs provably dominated.
-    if (BoundFid[Pos] == hlsim::Fidelity::Coarse) {
-      Bound[Pos] = Objectives::of(
-          estimateOne(Ctx, I, hlsim::Fidelity::Medium));
-      BoundFid[Pos] = hlsim::Fidelity::Medium;
-      ++R.Stats.LowFidelityEstimates;
-      if (ProvablyDominated(Pos, IsAccepted)) {
-        ++R.Stats.Pruned;
-        logPrune(I, Pos);
-        continue;
-      }
-    }
-    recordFull(Ctx, R, I);
-    ++R.Stats.Estimated;
-    insertLogged(All, "all", I, R.Points[I].Obj);
-    if (IsAccepted)
-      insertLogged(Acc, "accepted", I, R.Points[I].Obj);
-  }
-
-  R.Front = All.indices();
-  R.AcceptedFront = Acc.indices();
-
-  if (Ctx.ExactTopRung)
-    exactTopRungPass(Ctx, R);
+  ladderWalk(Ctx, R, Cand, coarseBounds(Ctx, Cand), hlsim::Fidelity::Coarse,
+             Ctx.ExactTopRung ? hlsim::Fidelity::Exact
+                              : hlsim::Fidelity::Full);
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,13 +24,22 @@
 ///     is strictly dominated by an already-estimated point's actual
 ///     objectives.
 ///
-/// The exactness argument for the pruned strategy: the fidelity
-/// ladder guarantees bound(c) <= full(c) component-wise. If some
-/// estimated point m has full(m) strictly dominating bound(c), then
-/// full(m) also strictly dominates full(c), so c is not on the front and
-/// (because the domination is strict) cannot tie-collapse into a member
-/// either. Accepted configurations are additionally checked against the
-/// accepted-only front, preserving \c DseResult::AcceptedFront too.
+/// One ladder walk does the pruning for both. Each candidate climbs the
+/// fidelity ladder a rung at a time up to the top rung (Full, or Exact
+/// under DseOptions::ExactTopRung) and stops early when its current
+/// bound is strictly dominated. pareto-prune walks from Coarse; under the
+/// exact top rung, exhaustive walks its Full-estimated configs from Full.
+///
+/// The exactness argument: the fidelity ladder guarantees
+/// Coarse(c) <= Medium(c) <= Full(c) <= Exact(c) component-wise, so every
+/// rung is an admissible bound of the top rung. If a walked point m has
+/// top(m) strictly dominating a bound of c, then top(m) also strictly
+/// dominates top(c), so c is not on the all-top-rung front and (because
+/// the domination is strict) cannot tie-collapse into a member either.
+/// Front members only ever carry top-rung objectives, so this holds for
+/// the Exact rung exactly as for Full. Accepted configurations are
+/// additionally checked against the accepted-only front, preserving
+/// \c DseResult::AcceptedFront too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +63,7 @@ struct SearchContext {
   std::shared_ptr<DseCache> Cache;
   unsigned Threads = 1;
   size_t Grain = 32;
-  /// Promote the front to cycle-level (Exact) estimates; see
+  /// Make Exact (the cycle-level simulator) the walk's top rung; see
   /// DseOptions::ExactTopRung.
   bool ExactTopRung = false;
   /// Progress accumulator, or null when neither DseOptions::OnProgress

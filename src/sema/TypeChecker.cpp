@@ -1355,5 +1355,3 @@ std::vector<Error> dahlia::typeCheck(Program &P) {
 std::vector<Error> dahlia::typeCheck(Cmd &C) {
   return Checker().runCommand(C);
 }
-
-bool dahlia::typeChecks(Program &P) { return typeCheck(P).empty(); }

@@ -46,9 +46,6 @@ std::vector<Error> typeCheck(Program &P);
 /// Convenience: type-checks a bare command with no pre-declared memories.
 std::vector<Error> typeCheck(Cmd &C);
 
-/// Convenience single-error predicates for design-space exploration.
-bool typeChecks(Program &P);
-
 } // namespace dahlia
 
 #endif // DAHLIA_SEMA_TYPECHECKER_H

@@ -7,7 +7,7 @@
 // top rung of the estimation fidelity ladder: determinism, the
 // lower-bound contract Coarse <= Medium <= Full <= Exact on every shipped
 // kernel spec, exhaustive-vs-sampled schedule derivation, multi-nest and
-// while-loop execution, and the DSE exact-top-rung pass.
+// while-loop execution, and the DSE exact top rung.
 //
 //===----------------------------------------------------------------------===//
 
@@ -232,7 +232,7 @@ TEST(CycleSim, ExactRungHasItsOwnCacheKeys) {
 }
 
 //===----------------------------------------------------------------------===//
-// DSE exact-top-rung pass
+// DSE exact top rung
 //===----------------------------------------------------------------------===//
 
 TEST(CycleSim, ExactTopRungRanksTheFrontByExactCycles) {

@@ -85,16 +85,6 @@ TEST(Dse, ParetoNoFrontMemberDominated) {
   }
 }
 
-TEST(Dse, EnumerateConfigsCrossProduct) {
-  std::vector<std::vector<int64_t>> Params = {{1, 2}, {10, 20, 30}};
-  size_t Count = 0;
-  enumerateConfigs(Params, [&](const std::vector<int64_t> &C) {
-    ASSERT_EQ(C.size(), 2u);
-    ++Count;
-  });
-  EXPECT_EQ(Count, 6u);
-}
-
 TEST(Dse, FractionFormatting) {
   EXPECT_EQ(fractionString(354, 32000), "354/32000 (1.1%)");
 }

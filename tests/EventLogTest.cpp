@@ -93,10 +93,12 @@ DseProblem sliceProblem(
 /// Runs one sweep with the journal in buffered mode and returns the
 /// captured lines.
 std::vector<std::string> journaledSweep(const DseProblem &P, StrategyKind K,
-                                        unsigned Threads) {
+                                        unsigned Threads,
+                                        bool ExactTopRung = false) {
   DseOptions O;
   O.Strategy = K;
   O.Threads = Threads;
+  O.ExactTopRung = ExactTopRung;
   eventlog::journalStartBuffered();
   DseEngine(O).explore(P);
   eventlog::journalStop();
@@ -335,6 +337,40 @@ TEST(EventLog, SweepJournalIsConsistentAndExplainsPrunes) {
   EXPECT_EQ(FrontW.at("status").asString(), "front-member");
 }
 
+TEST(EventLog, EveryStrategyAndRungJournalIsConsistent) {
+  // A 600-config prefix of the Figure 7 space under both strategies, with
+  // and without the exact top rung: each journal passes the gate, which
+  // includes sweep-end's `pruned` agreeing with the prune events.
+  std::vector<GemmBlockedConfig> Space = gemmBlockedSpace();
+  Space.resize(600);
+  auto Shared =
+      std::make_shared<std::vector<GemmBlockedConfig>>(std::move(Space));
+  DseProblem P = sliceProblem(Shared);
+  for (StrategyKind K : {StrategyKind::Exhaustive, StrategyKind::ParetoPrune})
+    for (bool Exact : {false, true}) {
+      std::vector<std::string> Lines =
+          journaledSweep(P, K, /*Threads=*/2, Exact);
+      std::string Err;
+      std::optional<journal::SearchJournal> J =
+          journal::SearchJournal::parse(Lines, &Err);
+      ASSERT_TRUE(J) << Err;
+      EXPECT_EQ(J->checkConsistent(), std::vector<std::string>{})
+          << strategyName(K) << (Exact ? " + exact" : "");
+      // The front events replay one front per name: what entered minus
+      // what was evicted is the final front.
+      int64_t Members = 0;
+      for (const journal::Event &E : J->events())
+        if ((E.Kind == "front-enter" || E.Kind == "front-evict") &&
+            E.Fields.at("front").asString() == "all")
+          Members += E.Kind == "front-enter" ? 1 : -1;
+      const journal::Event &End = J->events()[J->events().size() - 2];
+      ASSERT_EQ(End.Kind, "sweep-end");
+      EXPECT_EQ(Members,
+                static_cast<int64_t>(End.Fields.at("front").asArray().size()))
+          << strategyName(K) << (Exact ? " + exact" : "");
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // checkConsistent: every corruption class is caught
 //===----------------------------------------------------------------------===//
@@ -410,6 +446,12 @@ TEST(EventLog, CheckConsistentRejectsEachCorruption) {
       {"sweep-begin without strategy",
        editFirst(Pristine, "sweep-begin", Erase("strategy")),
        "sweep-begin lacks required field 'strategy'"},
+      {"sweep-end pruned off by one",
+       editFirst(Pristine, "sweep-end",
+                 [](Json::Object &O) {
+                   O["pruned"] = O["pruned"].asInt() + 1;
+                 }),
+       "prune events"},
   };
   for (const Case &C : Cases) {
     std::vector<std::string> V = violations(C.Lines);

@@ -250,6 +250,69 @@ TEST(SearchStrategy, CheckerDirectedSpacesPruneOnlyAcceptedPoints) {
       EXPECT_FALSE(Pr.Points[I].Estimated) << I;
 }
 
+/// A one-loop kernel over CycleSimTest's period-17 array (34 words in 17
+/// cyclic banks) reading A[i + Offset] and A[Coeff * i].
+hlsim::KernelSpec twoReadKernel(int64_t Trip, int64_t Offset, int64_t Coeff,
+                                unsigned AddOps) {
+  hlsim::KernelSpec K;
+  K.Name = "two-reads";
+  K.FloatingPoint = false;
+  K.Arrays = {{"A", {34}, {17}, 1, 32}};
+  K.Nests[0].Loops = {{"i", Trip, 1}};
+  K.Nests[0].Body = {{"A", {hlsim::AffineExpr::var("i", 1, Offset)}, false},
+                     {"A", {hlsim::AffineExpr::var("i", Coeff)}, false}};
+  K.Nests[0].AddOps = AddOps;
+  return K;
+}
+
+TEST(SearchStrategy, ExactTopRungFrontIsEqualAcrossStrategies) {
+  // Y (config 0) is CycleSimTest's period-17 kernel: Full samples 16
+  // schedule points and sees II=1, the simulator walks the whole period
+  // and finds II=2. X (config 1) is conflict-free and one adder larger.
+  // Full(Y) strictly dominates X's Medium bound, but Exact(Y) does not
+  // dominate X, so a walk that prunes X against Full(Y) and never
+  // re-tests it against Exact(Y) loses X from the exact front.
+  const hlsim::KernelSpec Y = twoReadKernel(34, 16, 2, 0);
+  const hlsim::KernelSpec X = twoReadKernel(40, 1, 1, 1);
+  auto At = [](const hlsim::KernelSpec &K, hlsim::Fidelity F) {
+    return Objectives::of(hlsim::estimateAt(K, F));
+  };
+  ASSERT_TRUE(dominates(At(Y, hlsim::Fidelity::Full),
+                        At(X, hlsim::Fidelity::Medium)));
+  ASSERT_FALSE(dominates(At(Y, hlsim::Fidelity::Full),
+                         At(X, hlsim::Fidelity::Coarse)));
+  ASSERT_FALSE(dominates(At(Y, hlsim::Fidelity::Exact),
+                         At(X, hlsim::Fidelity::Exact)));
+  ASSERT_FALSE(dominates(At(X, hlsim::Fidelity::Exact),
+                         At(Y, hlsim::Fidelity::Exact)));
+
+  DseProblem P;
+  P.Size = 2;
+  P.Source = [](size_t) {
+    return std::string("decl A: bit<32>[34 bank 17];\nA[0] := 1;\n");
+  };
+  P.Spec = [Y, X](size_t I) { return I == 0 ? Y : X; };
+  auto Explore = [&](StrategyKind K) {
+    DseOptions O;
+    O.Strategy = K;
+    O.Threads = 1;
+    O.ExactTopRung = true;
+    return DseEngine(O).explore(P);
+  };
+  DseResult Ex = Explore(StrategyKind::Exhaustive);
+  DseResult Pr = Explore(StrategyKind::ParetoPrune);
+
+  ASSERT_EQ(Ex.Stats.Accepted, 2u);
+  EXPECT_EQ(Ex.Front, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(Ex.AcceptedFront, Ex.Front);
+  EXPECT_EQ(Pr.Front, Ex.Front);
+  EXPECT_EQ(Pr.AcceptedFront, Ex.AcceptedFront);
+  for (size_t I : Pr.Front) {
+    EXPECT_TRUE(Pr.Points[I].ExactEvaluated) << I;
+    EXPECT_TRUE(equalObjectives(Pr.Points[I].Obj, Ex.Points[I].Obj)) << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Shard splits and the merge
 //===----------------------------------------------------------------------===//
