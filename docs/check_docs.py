@@ -53,13 +53,8 @@ def read(path):
 def protocol_ops(repo):
     """The op names Request::fromJson accepts / opName prints."""
     src = read(os.path.join(repo, "src", "service", "Protocol.cpp"))
-    ops = set()
-    # opName's switch: return "check"; etc. (skip the "?" fallback).
-    for m in re.finditer(r'return "([a-z][a-z0-9-]*)";', src):
-        ops.add(m.group(1))
-    # Request::fromJson's dispatch: OpStr == "estimate" etc.
-    for m in re.finditer(r'OpStr == "([a-z][a-z0-9-]*)"', src):
-        ops.add(m.group(1))
+    # The one {Op, name} table: {Op::Check, "check"}, etc.
+    ops = set(re.findall(r'\{Op::\w+, "([a-z][a-z0-9-]*)"\}', src))
     if not ops:
         sys.exit("check_docs: found no ops in Protocol.cpp — "
                  "did the parser move?")

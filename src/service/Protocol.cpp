@@ -14,28 +14,35 @@
 using namespace dahlia;
 using namespace dahlia::service;
 
+namespace {
+
+/// The one spelling of each op on the wire.
+constexpr std::pair<Op, const char *> OpNames[] = {
+    {Op::Check, "check"},
+    {Op::Estimate, "estimate"},
+    {Op::Lower, "lower"},
+    {Op::Simulate, "simulate"},
+    {Op::DseSweep, "dse-sweep"},
+    {Op::Metrics, "metrics"},
+    {Op::Watch, "watch"},
+    {Op::CacheExport, "cache-export"},
+    {Op::CacheImport, "cache-import"},
+};
+
+} // namespace
+
 const char *dahlia::service::opName(Op O) {
-  switch (O) {
-  case Op::Check:
-    return "check";
-  case Op::Estimate:
-    return "estimate";
-  case Op::Lower:
-    return "lower";
-  case Op::Simulate:
-    return "simulate";
-  case Op::DseSweep:
-    return "dse-sweep";
-  case Op::Metrics:
-    return "metrics";
-  case Op::Watch:
-    return "watch";
-  case Op::CacheExport:
-    return "cache-export";
-  case Op::CacheImport:
-    return "cache-import";
-  }
+  for (const auto &[K, Name] : OpNames)
+    if (K == O)
+      return Name;
   return "?";
+}
+
+std::optional<Op> dahlia::service::opFromName(std::string_view Name) {
+  for (const auto &[K, KName] : OpNames)
+    if (Name == KName)
+      return K;
+  return std::nullopt;
 }
 
 //===----------------------------------------------------------------------===//
@@ -57,29 +64,14 @@ std::optional<Request> Request::fromJson(const std::string &Line,
   R.Id = J->at("id").asInt();
 
   const std::string &OpStr = J->at("op").asString();
-  if (OpStr == "check" || OpStr.empty()) { // check is the default op
-    R.Kind = Op::Check;
-  } else if (OpStr == "estimate") {
-    R.Kind = Op::Estimate;
-  } else if (OpStr == "lower") {
-    R.Kind = Op::Lower;
-  } else if (OpStr == "simulate") {
-    R.Kind = Op::Simulate;
-  } else if (OpStr == "dse-sweep") {
-    R.Kind = Op::DseSweep;
-  } else if (OpStr == "metrics") {
-    R.Kind = Op::Metrics;
-  } else if (OpStr == "watch") {
-    R.Kind = Op::Watch;
-  } else if (OpStr == "cache-export") {
-    R.Kind = Op::CacheExport;
-  } else if (OpStr == "cache-import") {
-    R.Kind = Op::CacheImport;
-  } else {
+  // check is the default op.
+  std::optional<Op> Kind = OpStr.empty() ? Op::Check : opFromName(OpStr);
+  if (!Kind) {
     if (Err)
       *Err = "unknown op '" + OpStr + "'";
     return std::nullopt;
   }
+  R.Kind = *Kind;
 
   R.Source = J->at("source").asString();
   R.Session = J->at("session").asString();
@@ -260,6 +252,70 @@ Json Response::toJson() const {
   return J;
 }
 
+namespace {
+
+/// Digs a human-readable message out of a JSON payload that is not a
+/// well-formed protocol response: the server's own words beat a generic
+/// "unparseable" (the error-shape contract of docs/protocol.md).
+std::string serverMessageIn(const Json &J) {
+  if (!J.at("errors").asArray().empty()) {
+    const Json &First = J.at("errors").asArray().front();
+    if (First.isString())
+      return First.asString();
+    if (!First.at("message").asString().empty())
+      return First.at("message").asString();
+  }
+  if (!J.at("message").asString().empty())
+    return J.at("message").asString();
+  if (J.at("error").isString() && !J.at("error").asString().empty())
+    return J.at("error").asString();
+  if (!J.at("error").at("message").asString().empty())
+    return J.at("error").at("message").asString();
+  return {};
+}
+
+} // namespace
+
+Response Response::fromJson(const Json &J) {
+  Response R;
+  R.Id = J.at("id").asInt();
+  if (!J.isObject() || !J.contains("id") || !J.contains("op") ||
+      !J.contains("ok")) {
+    // Valid JSON, but not a protocol response. Surface whatever message
+    // the payload carries instead of swallowing it.
+    std::string Msg = serverMessageIn(J);
+    R.Errors.push_back(Error(
+        ErrorKind::Internal,
+        Msg.empty() ? "malformed response: JSON lacks id/op/ok fields"
+                    : "server error: " + Msg));
+    return R;
+  }
+  R.Kind = opFromName(J.at("op").asString()).value_or(Op::Check);
+  R.Ok = J.at("ok").asBool();
+  R.Cached = J.at("cached").asBool();
+  R.ParseReused = J.at("parse_reused").asBool();
+  R.LatencyMs = J.at("latency_ms").asDouble();
+  for (const Json &E : J.at("errors").asArray())
+    R.Errors.push_back(errorFromJson(E));
+  if (J.contains("estimate"))
+    R.Est = estimateFromJson(J.at("estimate"));
+  if (J.contains("sim"))
+    R.Sim = simFromJson(J.at("sim"));
+  R.Lowered = J.at("lowered").asString();
+  if (J.contains("sweep"))
+    R.Sweep = J.at("sweep");
+  if (J.contains("metrics"))
+    R.Metrics = J.at("metrics");
+  if (J.contains("watch"))
+    R.Watch = J.at("watch");
+  if (J.contains("cache"))
+    R.Cache = J.at("cache");
+  int64_t TraceId = J.at("trace_id").asInt();
+  if (TraceId > 0)
+    R.TraceId = static_cast<uint64_t>(TraceId);
+  return R;
+}
+
 //===----------------------------------------------------------------------===//
 // ResponseStream
 //===----------------------------------------------------------------------===//
@@ -343,6 +399,14 @@ Json dahlia::service::toJson(const Error &E) {
   return J;
 }
 
+Error dahlia::service::errorFromJson(const Json &E) {
+  return Error(errorKindFromName(E.at("kind").asString())
+                   .value_or(ErrorKind::Internal),
+               E.at("message").asString(),
+               SourceLoc(static_cast<uint32_t>(E.at("line").asInt()),
+                         static_cast<uint32_t>(E.at("col").asInt())));
+}
+
 Json dahlia::service::toJson(const driver::DiagnosticEngine &D) {
   Json Arr = Json::array();
   for (const Error &E : D.errors())
@@ -363,6 +427,21 @@ Json dahlia::service::toJson(const hlsim::Estimate &E) {
   J["incorrect"] = E.Incorrect;
   J["predictable"] = E.Predictable;
   return J;
+}
+
+hlsim::Estimate dahlia::service::estimateFromJson(const Json &E) {
+  hlsim::Estimate Est;
+  Est.Cycles = E.at("cycles").asDouble();
+  Est.RuntimeMs = E.at("runtime_ms").asDouble();
+  Est.II = E.at("ii").asDouble();
+  Est.Lut = E.at("lut").asInt();
+  Est.Ff = E.at("ff").asInt();
+  Est.Bram = E.at("bram").asInt();
+  Est.Dsp = E.at("dsp").asInt();
+  Est.LutMem = E.at("lutmem").asInt();
+  Est.Incorrect = E.at("incorrect").asBool();
+  Est.Predictable = E.at("predictable").asBool();
+  return Est;
 }
 
 Json dahlia::service::toJson(const cyclesim::SimResult &S) {
@@ -389,19 +468,26 @@ Json dahlia::service::toJson(const cyclesim::SimResult &S) {
   return J;
 }
 
-hlsim::Estimate dahlia::service::estimateFromJson(const Json &E) {
-  hlsim::Estimate Est;
-  Est.Cycles = E.at("cycles").asDouble();
-  Est.RuntimeMs = E.at("runtime_ms").asDouble();
-  Est.II = E.at("ii").asDouble();
-  Est.Lut = E.at("lut").asInt();
-  Est.Ff = E.at("ff").asInt();
-  Est.Bram = E.at("bram").asInt();
-  Est.Dsp = E.at("dsp").asInt();
-  Est.LutMem = E.at("lutmem").asInt();
-  Est.Incorrect = E.at("incorrect").asBool();
-  Est.Predictable = E.at("predictable").asBool();
-  return Est;
+cyclesim::SimResult dahlia::service::simFromJson(const Json &S) {
+  cyclesim::SimResult Sim;
+  Sim.Cycles = S.at("cycles").asDouble();
+  Sim.II = S.at("ii").asDouble();
+  Sim.Truncated = S.at("truncated").asBool();
+  Sim.WalkedGroups = static_cast<uint64_t>(S.at("walked_groups").asInt());
+  for (const Json &N : S.at("nests").asArray()) {
+    cyclesim::NestSim NS;
+    NS.II = N.at("ii").asDouble();
+    NS.EffectiveII = N.at("effective_ii").asDouble();
+    NS.Groups = N.at("groups").asDouble();
+    NS.Cycles = N.at("cycles").asDouble();
+    NS.WalkedGroups = static_cast<uint64_t>(N.at("walked_groups").asInt());
+    NS.ConflictGroups = static_cast<uint64_t>(N.at("conflict_groups").asInt());
+    NS.StallCycles = static_cast<uint64_t>(N.at("stall_cycles").asInt());
+    NS.MaxPortPressure = N.at("max_port_pressure").asInt();
+    NS.PeriodComplete = N.at("period_complete").asBool();
+    Sim.Nests.push_back(NS);
+  }
+  return Sim;
 }
 
 namespace {

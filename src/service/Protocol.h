@@ -61,6 +61,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dahlia::service {
@@ -91,7 +92,10 @@ enum class Op {
   CacheImport,
 };
 
+/// The op's wire name ("check", "dse-sweep", ...), and its inverse
+/// (std::nullopt for a name no op has).
 const char *opName(Op O);
+std::optional<Op> opFromName(std::string_view Name);
 
 /// A bank/unroll rewrite applied to a session's cached parse.
 struct Rewrite {
@@ -168,6 +172,11 @@ struct Response {
   uint64_t TraceId = 0;               ///< Echo of the request's trace ID.
 
   Json toJson() const;
+  /// Inverse of toJson. A value that is not a protocol response (no
+  /// id/op/ok) decodes as a failed response whose one error carries the
+  /// payload's own `errors`/`message`/`error` text, so the operator sees
+  /// the server's words, not "unparseable".
+  static Response fromJson(const Json &J);
 };
 
 //===----------------------------------------------------------------------===//
@@ -184,7 +193,7 @@ struct Response {
 /// per nest (simulate), then the terminal summary. The terminal summary is
 /// Response::toJson() with the streamed array removed and
 /// `"stream_end":true` added; re-inserting the collected chunks yields the
-/// batch response exactly (ServiceClient::callBatch does this).
+/// batch response exactly (ServiceClient's stream assembler does this).
 class ResponseStream {
 public:
   /// \p R must be a successful dse-sweep or simulate response (see
@@ -212,21 +221,26 @@ private:
 // Shared serializers (service responses and `dahliac --json`)
 //===----------------------------------------------------------------------===//
 
-/// One diagnostic as {"kind","message","line","col"}.
+/// One diagnostic as {"kind","message","line","col"}, and its inverse
+/// (an unknown kind decodes as internal).
 Json toJson(const Error &E);
+Error errorFromJson(const Json &E);
 
 /// All diagnostics of \p D as an array.
 Json toJson(const driver::DiagnosticEngine &D);
 
 /// An estimate as {"cycles","ii","lut","ff","bram","dsp","lutmem",
-/// "runtime_ms","incorrect","predictable"}.
+/// "runtime_ms","incorrect","predictable"}, and its inverse (used by
+/// Response::fromJson and by the cache-import payload decoder).
 Json toJson(const hlsim::Estimate &E);
+hlsim::Estimate estimateFromJson(const Json &E);
 
 /// A simulation as {"cycles","ii","truncated","walked_groups","nests":
 /// [{"ii","effective_ii","groups","cycles","walked_groups",
 ///   "conflict_groups","stall_cycles","max_port_pressure",
-///   "period_complete"}]}.
+///   "period_complete"}]}, and its inverse.
 Json toJson(const cyclesim::SimResult &S);
+cyclesim::SimResult simFromJson(const Json &S);
 
 /// Per-stage timings as {"parse":ms,...,"total":ms}.
 Json timingsToJson(const driver::CompileResult &R);
@@ -235,10 +249,6 @@ Json timingsToJson(const driver::CompileResult &R);
 /// producer (ResponseStream) and consumer (ServiceClient's reassembly),
 /// which must stay exact inverses.
 Json jsonWithoutKey(const Json &J, const std::string &Key);
-
-/// Inverse of toJson(hlsim::Estimate) — shared by the client's response
-/// decoder and the server's cache-import handler.
-hlsim::Estimate estimateFromJson(const Json &E);
 
 /// Cache entries in the cache-export/-import wire shape: keys render as
 /// "0x..." hex strings (uint64 does not survive a signed JSON int), and

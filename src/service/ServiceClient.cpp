@@ -18,122 +18,31 @@ using namespace dahlia::service;
 
 namespace {
 
-/// Digs a human-readable message out of a JSON payload that is not a
-/// well-formed protocol response: the server's own words beat a generic
-/// "unparseable" (the error-shape contract of docs/protocol.md).
-std::string serverMessageIn(const Json &J) {
-  if (!J.at("errors").asArray().empty()) {
-    const Json &First = J.at("errors").asArray().front();
-    if (First.isString())
-      return First.asString();
-    if (!First.at("message").asString().empty())
-      return First.at("message").asString();
-  }
-  if (!J.at("message").asString().empty())
-    return J.at("message").asString();
-  if (J.at("error").isString() && !J.at("error").asString().empty())
-    return J.at("error").asString();
-  if (!J.at("error").at("message").asString().empty())
-    return J.at("error").at("message").asString();
-  return {};
+/// The client's view of one reply value: the typed decode, with \c Raw
+/// taking over the parsed value itself.
+ClientResponse decoded(Json J) {
+  ClientResponse C;
+  C.R = Response::fromJson(J);
+  C.Raw = std::move(J);
+  return C;
+}
+
+/// The reply to a line that is not JSON at all: the snippet rides along
+/// instead of a bare "unparseable".
+ClientResponse notJson(const std::string &Line) {
+  ClientResponse C;
+  C.R.Errors.push_back(Error(ErrorKind::Internal,
+                             "malformed response line (not JSON): \"" +
+                                 Line.substr(0, 80) +
+                                 (Line.size() > 80 ? "…" : "") + "\""));
+  return C;
 }
 
 } // namespace
 
 ClientResponse dahlia::service::decodeResponse(const std::string &Line) {
-  ClientResponse C;
   std::optional<Json> J = Json::parse(Line);
-  if (!J) {
-    C.R.Ok = false;
-    std::string Snippet = Line.substr(0, 80);
-    C.R.Errors.push_back(Error(
-        ErrorKind::Internal, "malformed response line (not JSON): \"" +
-                                 Snippet + (Line.size() > 80 ? "…" : "") +
-                                 "\""));
-    return C;
-  }
-  if (!J->isObject() || !J->contains("id") || !J->contains("op") ||
-      !J->contains("ok")) {
-    // Valid JSON, but not a protocol response. Surface whatever message
-    // the payload carries instead of swallowing it.
-    C.Raw = *J;
-    C.R.Ok = false;
-    std::string Msg = serverMessageIn(*J);
-    C.R.Id = J->at("id").asInt();
-    C.R.Errors.push_back(Error(
-        ErrorKind::Internal,
-        Msg.empty() ? "malformed response: JSON lacks id/op/ok fields"
-                    : "server error: " + Msg));
-    return C;
-  }
-  C.Raw = *J;
-  C.R.Id = J->at("id").asInt();
-  const std::string &OpStr = J->at("op").asString();
-  C.R.Kind = OpStr == "estimate"   ? Op::Estimate
-             : OpStr == "lower"    ? Op::Lower
-             : OpStr == "simulate" ? Op::Simulate
-             : OpStr == "dse-sweep" ? Op::DseSweep
-             : OpStr == "metrics"  ? Op::Metrics
-             : OpStr == "watch"    ? Op::Watch
-             : OpStr == "cache-export" ? Op::CacheExport
-             : OpStr == "cache-import" ? Op::CacheImport
-                                   : Op::Check;
-  C.R.Ok = J->at("ok").asBool();
-  C.R.Cached = J->at("cached").asBool();
-  C.R.ParseReused = J->at("parse_reused").asBool();
-  C.R.LatencyMs = J->at("latency_ms").asDouble();
-  for (const Json &E : J->at("errors").asArray()) {
-    ErrorKind Kind = ErrorKind::Internal;
-    const std::string &KindStr = E.at("kind").asString();
-    for (ErrorKind K :
-         {ErrorKind::Lex, ErrorKind::Parse, ErrorKind::Type,
-          ErrorKind::Affine, ErrorKind::Banking, ErrorKind::Unroll,
-          ErrorKind::View, ErrorKind::Semantics, ErrorKind::Internal})
-      if (KindStr == errorKindName(K))
-        Kind = K;
-    C.R.Errors.push_back(
-        Error(Kind, E.at("message").asString(),
-              SourceLoc(static_cast<uint32_t>(E.at("line").asInt()),
-                        static_cast<uint32_t>(E.at("col").asInt()))));
-  }
-  if (J->contains("estimate"))
-    C.R.Est = estimateFromJson(J->at("estimate"));
-  if (J->contains("sim")) {
-    const Json &S = J->at("sim");
-    cyclesim::SimResult Sim;
-    Sim.Cycles = S.at("cycles").asDouble();
-    Sim.II = S.at("ii").asDouble();
-    Sim.Truncated = S.at("truncated").asBool();
-    Sim.WalkedGroups = static_cast<uint64_t>(S.at("walked_groups").asInt());
-    for (const Json &N : S.at("nests").asArray()) {
-      cyclesim::NestSim NS;
-      NS.II = N.at("ii").asDouble();
-      NS.EffectiveII = N.at("effective_ii").asDouble();
-      NS.Groups = N.at("groups").asDouble();
-      NS.Cycles = N.at("cycles").asDouble();
-      NS.WalkedGroups = static_cast<uint64_t>(N.at("walked_groups").asInt());
-      NS.ConflictGroups =
-          static_cast<uint64_t>(N.at("conflict_groups").asInt());
-      NS.StallCycles = static_cast<uint64_t>(N.at("stall_cycles").asInt());
-      NS.MaxPortPressure = N.at("max_port_pressure").asInt();
-      NS.PeriodComplete = N.at("period_complete").asBool();
-      Sim.Nests.push_back(NS);
-    }
-    C.R.Sim = std::move(Sim);
-  }
-  C.R.Lowered = J->at("lowered").asString();
-  if (J->contains("sweep"))
-    C.R.Sweep = J->at("sweep");
-  if (J->contains("metrics"))
-    C.R.Metrics = J->at("metrics");
-  if (J->contains("watch"))
-    C.R.Watch = J->at("watch");
-  if (J->contains("cache"))
-    C.R.Cache = J->at("cache");
-  int64_t TraceId = J->at("trace_id").asInt();
-  if (TraceId > 0)
-    C.R.TraceId = static_cast<uint64_t>(TraceId);
-  return C;
+  return J ? decoded(std::move(*J)) : notJson(Line);
 }
 
 ServiceClient::ServiceClient(CompileService &Svc) : Local(&Svc) {}
@@ -146,7 +55,8 @@ namespace {
 /// Accumulates the wire lines of one logical response, reassembling
 /// streamed sequences (header, chunks, terminal) into the
 /// batch-equivalent JSON. Feed lines in order; a completed reply pops out
-/// of take() after feed() returns true.
+/// of take() after feed() returns true. Each line is parsed once, here,
+/// and the reply is decoded from that parse.
 class StreamAssembler {
 public:
   /// \p Strict: unknown records, duplicate/unknown stream chunks, and
@@ -159,8 +69,8 @@ public:
   bool feed(const std::string &Line) {
     std::optional<Json> J = Json::parse(Line);
     if (!J || !J->isObject()) {
-      // Not JSON at all: pass through; decodeResponse reports it.
-      Done = {Line, false, 0};
+      // Not a JSON object: the decoder reports what it is.
+      Done = J ? decoded(std::move(*J)) : notJson(Line);
       return true;
     }
 
@@ -174,7 +84,7 @@ public:
         return false;
       }
       // A JSON object that is neither a protocol response (id/op/ok) nor
-      // an error payload (errors/message/error — which decodeResponse
+      // an error payload (errors/message/error — which Response::fromJson
       // surfaces verbatim) is an unknown record kind. Strict mode turns
       // it into a structured error reply; otherwise skip it with a
       // warning rather than consuming a reply slot and misattributing
@@ -183,32 +93,31 @@ public:
           !J->contains("errors") && !J->contains("message") &&
           !J->contains("error")) {
         if (Strict) {
-          Done = {errorLine(*J, "strict mode: unknown record: " +
-                                    Line.substr(0, 120)),
-                  false, 0};
+          Done = decoded(errorLine(
+              *J, "strict mode: unknown record: " + Line.substr(0, 120)));
           return true;
         }
         std::cerr << "dahlia service client: skipping unknown record: "
                   << Line.substr(0, 120) << "\n";
         return false;
       }
-      Done = {Line, false, 0};
+      Done = decoded(std::move(*J));
       return true;
     }
 
     // Inside a stream: chunk or terminal.
     if (J->contains("stream_end")) {
       InStream = false;
-      if (Strict && !Poison.empty()) {
-        Done = {errorLine(*J, "strict mode: " + Poison), true,
-                Chunks.size()};
-        return true;
-      }
-      Done = {reassemble(*J), true, Chunks.size()};
+      size_t Collected = Chunks.size();
+      Done = decoded(Strict && !Poison.empty()
+                         ? errorLine(*J, "strict mode: " + Poison)
+                         : reassemble(*J));
+      Done.Streamed = true;
+      Done.StreamChunks = Collected;
       return true;
     }
     if (J->contains("front_point")) {
-      const Json &P = J->at("front_point");
+      Json &P = (*J)["front_point"];
       if (Strict) {
         int64_t Idx = P.at("index").asInt(-1);
         if (!SeenPointIndices.insert(Idx).second) {
@@ -218,11 +127,11 @@ public:
           return false; // First-wins: the duplicate is not collected.
         }
       }
-      Chunks.push_back(P);
+      Chunks.push_back(std::move(P));
     } else if (J->contains("nest")) {
-      Chunks.push_back(J->at("nest"));
+      Chunks.push_back(std::move((*J)["nest"]));
     } else if (J->contains("progress")) {
-      Chunks.push_back(J->at("progress"));
+      Chunks.push_back(std::move((*J)["progress"]));
     } else if (Strict && Poison.empty()) {
       // Unknown chunk kinds are skipped when lenient (forward
       // compatibility) but poison a strict stream.
@@ -231,12 +140,7 @@ public:
     return false;
   }
 
-  struct Reply {
-    std::string Line;
-    bool Streamed = false;
-    size_t Chunks = 0;
-  };
-  Reply take() { return std::move(Done); }
+  ClientResponse take() { return std::move(Done); }
 
   /// True between a stream header and its terminal summary — an EOF here
   /// means the server died with a response in flight.
@@ -244,34 +148,24 @@ public:
   size_t pendingChunks() const { return Chunks.size(); }
 
 private:
-  /// Builds an ok=false protocol reply carrying \p Msg, echoing whatever
-  /// id/op the offending record had so callBatch can still slot it.
-  static std::string errorLine(const Json &J, const std::string &Msg) {
-    Json O = Json::object();
-    O["id"] = J.at("id").asInt();
-    O["op"] = J.at("op").isString() ? J.at("op").asString()
-                                    : std::string("check");
-    O["ok"] = false;
-    O["latency_ms"] = 0.0;
-    Json E = Json::object();
-    E["kind"] = errorKindName(ErrorKind::Internal);
-    E["message"] = Msg;
-    E["line"] = 0;
-    E["col"] = 0;
-    Json Errs = Json::array();
-    Errs.push_back(std::move(E));
-    O["errors"] = std::move(Errs);
-    return O.dump();
+  /// An ok=false protocol reply carrying \p Msg, echoing the offending
+  /// record's id/op so callBatch can still slot it.
+  static Json errorLine(const Json &J, const std::string &Msg) {
+    Response R;
+    R.Id = J.at("id").asInt();
+    R.Kind = opFromName(J.at("op").asString()).value_or(Op::Check);
+    R.Errors.push_back(Error(ErrorKind::Internal, Msg));
+    return R.toJson();
   }
 
-  /// Rebuilds the batch response from the terminal summary + chunks. The
-  /// inverse of ResponseStream: front points go back into the sweep when
-  /// the batch form carries them (sharded sweeps), nests always go back
-  /// into the sim object.
-  std::string reassemble(const Json &Terminal) {
+  /// Rebuilds the batch response from the terminal summary + chunks
+  /// (moved out of the assembler). The inverse of ResponseStream: front
+  /// points go back into the sweep when the batch form carries them
+  /// (sharded sweeps), nests always go back into the sim object.
+  Json reassemble(const Json &Terminal) {
     Json R = jsonWithoutKey(Terminal, "stream_end");
-    const std::string &OpStr = R.at("op").asString();
-    if (OpStr == "dse-sweep" && R.at("sweep").isObject()) {
+    std::optional<Op> Kind = opFromName(R.at("op").asString());
+    if (Kind == Op::DseSweep && R.at("sweep").isObject()) {
       // In strict mode the terminal's front membership must be covered
       // by the collected chunks — a premature stream_end would otherwise
       // reassemble a silently truncated front.
@@ -285,51 +179,35 @@ private:
                   "for config " + std::to_string(I.asInt(-1)) +
                       " arrived (premature stream_end?)");
       }
-      if (R.at("sweep").at("shard_count").asInt() > 1) {
-        Json Sweep = R.at("sweep");
-        Json Points = Json::array();
-        for (const Json &C : Chunks)
-          Points.push_back(C);
-        Sweep["front_points"] = std::move(Points);
-        R["sweep"] = std::move(Sweep);
-      }
-    } else if (OpStr == "simulate" && R.at("sim").isObject()) {
-      Json Sim = R.at("sim");
-      Json Nests = Json::array();
-      for (const Json &C : Chunks)
-        Nests.push_back(C);
-      Sim["nests"] = std::move(Nests);
-      R["sim"] = std::move(Sim);
-    } else if (OpStr == "watch") {
+      if (R.at("sweep").at("shard_count").asInt() > 1)
+        R["sweep"]["front_points"] = std::move(Chunks);
+    } else if (Kind == Op::Simulate && R.at("sim").isObject()) {
+      R["sim"]["nests"] = std::move(Chunks);
+    } else if (Kind == Op::Watch) {
       // A live watch has no batch equivalent; the collected progress
       // records are the stream's whole payload.
-      Json Recs = Json::array();
-      for (const Json &C : Chunks)
-        Recs.push_back(C);
-      R["progress_records"] = std::move(Recs);
+      R["progress_records"] = std::move(Chunks);
     }
-    return R.dump();
+    return R;
   }
 
   bool Strict = false;
   bool InStream = false;
-  std::vector<Json> Chunks;
+  Json::Array Chunks;
   std::set<int64_t> SeenPointIndices;
   std::string Poison; ///< First strict-mode violation inside the stream.
-  Reply Done;
+  ClientResponse Done;
 };
 
 } // namespace
 
-std::vector<ServiceClient::RawReply>
+std::vector<ClientResponse>
 ServiceClient::exchange(const std::vector<std::string> &Lines) {
-  std::vector<RawReply> Result;
+  std::vector<ClientResponse> Result;
   StreamAssembler Asm(Strict);
   auto FeedLine = [&](const std::string &Line) {
-    if (Asm.feed(Line)) {
-      StreamAssembler::Reply R = Asm.take();
-      Result.push_back(RawReply{std::move(R.Line), R.Streamed, R.Chunks});
-    }
+    if (Asm.feed(Line))
+      Result.push_back(Asm.take());
   };
 
   if (Local) {
@@ -373,25 +251,17 @@ ServiceClient::exchange(const std::vector<std::string> &Lines) {
       Why += "; mid-stream after " + std::to_string(Asm.pendingChunks()) +
              " chunks";
     Why += ")";
-    Response Dead;
-    Dead.Ok = false;
-    Dead.Errors.push_back(Error(ErrorKind::Internal, Why));
-    std::string DeadLine = Dead.toJson().dump();
-    while (Result.size() != Lines.size())
-      Result.push_back(RawReply{DeadLine, false, 0});
+    ClientResponse Dead;
+    Dead.R.Errors.push_back(Error(ErrorKind::Internal, Why));
+    Dead.Raw = Dead.R.toJson();
+    Result.resize(Lines.size(), Dead);
   }
   return Result;
 }
 
 ClientResponse ServiceClient::call(Request R) {
-  std::vector<ClientResponse> Rs = callBatch({std::move(R)});
-  if (Rs.empty()) {
-    ClientResponse C;
-    C.R.Ok = false;
-    C.R.Errors.push_back(Error(ErrorKind::Internal, "no response"));
-    return C;
-  }
-  return std::move(Rs.front());
+  // callBatch answers every request, if only with an error.
+  return std::move(callBatch({std::move(R)}).front());
 }
 
 std::vector<ClientResponse> ServiceClient::callBatch(std::vector<Request> Rs) {
@@ -406,10 +276,7 @@ std::vector<ClientResponse> ServiceClient::callBatch(std::vector<Request> Rs) {
 
   std::vector<ClientResponse> Decoded(Rs.size());
   size_t Cursor = 0;
-  for (const RawReply &Reply : exchange(Lines)) {
-    ClientResponse C = decodeResponse(Reply.Line);
-    C.Streamed = Reply.Streamed;
-    C.StreamChunks = Reply.Chunks;
+  for (ClientResponse &C : exchange(Lines)) {
     auto It = IdToIndex.find(C.R.Id);
     size_t Slot = It != IdToIndex.end() ? It->second : Cursor;
     if (Slot < Decoded.size())

@@ -26,7 +26,8 @@
 /// Malformed response lines never vanish into a generic parse failure:
 /// when the server (or a proxy) answers with JSON that is not a protocol
 /// response, the client surfaces the payload's own `message`/`errors`
-/// text so the operator sees the server's words, not "unparseable".
+/// text so the operator sees the server's words, not "unparseable"
+/// (Response::fromJson does this).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +42,9 @@
 
 namespace dahlia::service {
 
-/// Decoded response line. \c Raw keeps the full JSON for fields the
-/// struct does not model; for a streamed response it is the *reassembled*
-/// batch-equivalent object.
+/// Decoded response line. \c Raw is the parsed line itself (moved in, not
+/// re-parsed), kept for fields the struct does not model; for a streamed
+/// response it is the *reassembled* batch-equivalent object.
 struct ClientResponse {
   Response R;
   Json Raw;
@@ -51,8 +52,10 @@ struct ClientResponse {
   size_t StreamChunks = 0; ///< Chunk lines collected while reassembling.
 };
 
-/// Decodes one response line into the typed struct (fields the protocol
-/// defines; unknown fields remain visible through \c Raw).
+/// Decodes one response line: one parse, then Response::fromJson (the
+/// decoder beside Response::toJson in Protocol.cpp). Fields the protocol
+/// does not define remain visible through \c Raw; a line that is not
+/// JSON decodes as a failed response quoting the line.
 ClientResponse decodeResponse(const std::string &Line);
 
 class ServiceClient {
@@ -109,14 +112,9 @@ public:
                        double IntervalMs = 0);
 
 private:
-  /// One logical reply: a plain response line, or a reassembled stream.
-  struct RawReply {
-    std::string Line; ///< Batch-equivalent JSON (reassembled if streamed).
-    bool Streamed = false;
-    size_t Chunks = 0;
-  };
-
-  std::vector<RawReply> exchange(const std::vector<std::string> &Lines);
+  /// Sends \p Lines and collects one decoded reply per line (a
+  /// reassembled stream counts as one).
+  std::vector<ClientResponse> exchange(const std::vector<std::string> &Lines);
 
   CompileService *Local = nullptr;
   std::istream *In = nullptr;

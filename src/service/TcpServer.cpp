@@ -350,7 +350,7 @@ void TcpServer::dispatchEpochs() {
         // terminal. The first record is due immediately.
         Json Header = Json::object();
         Header["id"] = E.Resp.Id;
-        Header["op"] = "watch";
+        Header["op"] = opName(Op::Watch);
         Header["stream"] = true;
         It->second.OutQ.push_back(OutItem{Header.dump() + "\n", nullptr});
         Watcher W;

@@ -19,28 +19,35 @@ std::string SourceLoc::str() const {
   return OS.str();
 }
 
+namespace {
+
+/// The one spelling of each kind, for diagnostics and the wire alike.
+constexpr std::pair<ErrorKind, const char *> KindNames[] = {
+    {ErrorKind::Lex, "lex"},
+    {ErrorKind::Parse, "parse"},
+    {ErrorKind::Type, "type"},
+    {ErrorKind::Affine, "affine"},
+    {ErrorKind::Banking, "banking"},
+    {ErrorKind::Unroll, "unroll"},
+    {ErrorKind::View, "view"},
+    {ErrorKind::Semantics, "semantics"},
+    {ErrorKind::Internal, "internal"},
+};
+
+} // namespace
+
 const char *dahlia::errorKindName(ErrorKind Kind) {
-  switch (Kind) {
-  case ErrorKind::Lex:
-    return "lex";
-  case ErrorKind::Parse:
-    return "parse";
-  case ErrorKind::Type:
-    return "type";
-  case ErrorKind::Affine:
-    return "affine";
-  case ErrorKind::Banking:
-    return "banking";
-  case ErrorKind::Unroll:
-    return "unroll";
-  case ErrorKind::View:
-    return "view";
-  case ErrorKind::Semantics:
-    return "semantics";
-  case ErrorKind::Internal:
-    return "internal";
-  }
+  for (const auto &[K, Name] : KindNames)
+    if (K == Kind)
+      return Name;
   return "unknown";
+}
+
+std::optional<ErrorKind> dahlia::errorKindFromName(std::string_view Name) {
+  for (const auto &[K, KName] : KindNames)
+    if (Name == KName)
+      return K;
+  return std::nullopt;
 }
 
 std::string Error::str() const {

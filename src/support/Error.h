@@ -20,6 +20,7 @@
 #include <cassert>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -40,6 +41,9 @@ enum class ErrorKind {
 
 /// Human-readable name for an \c ErrorKind ("affine", "banking", ...).
 const char *errorKindName(ErrorKind Kind);
+
+/// Inverse of errorKindName; std::nullopt for a name no kind has.
+std::optional<ErrorKind> errorKindFromName(std::string_view Name);
 
 /// A user-visible failure: kind, message, and optional source location.
 ///

@@ -9,10 +9,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 using namespace dahlia;
 
@@ -22,102 +21,119 @@ using namespace dahlia;
 
 namespace {
 
-void escapeTo(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (unsigned char C : S) {
+void escapeTo(std::string &Out, const std::string &S) {
+  static const char Hex[] = "0123456789abcdef";
+  Out += '"';
+  size_t Run = 0; // Start of the pending run of bytes that need no escape.
+  for (size_t I = 0; I != S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S, Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
-      OS << "\\\"";
+      Out += "\\\"";
       break;
     case '\\':
-      OS << "\\\\";
+      Out += "\\\\";
       break;
     case '\b':
-      OS << "\\b";
+      Out += "\\b";
       break;
     case '\f':
-      OS << "\\f";
+      Out += "\\f";
       break;
     case '\n':
-      OS << "\\n";
+      Out += "\\n";
       break;
     case '\r':
-      OS << "\\r";
+      Out += "\\r";
       break;
     case '\t':
-      OS << "\\t";
+      Out += "\\t";
       break;
     default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << static_cast<char>(C);
-      }
+      Out += "\\u00";
+      Out += Hex[C >> 4];
+      Out += Hex[C & 0xF];
     }
   }
-  OS << '"';
+  Out.append(S, Run, S.size() - Run);
+  Out += '"';
 }
 
-void dumpTo(std::ostringstream &OS, const Json &J) {
+/// The shortest `%.{P}g` text that parses back to \p D. No P below the
+/// digit count of the shortest round-trip form can round-trip, so the
+/// search starts there; it usually succeeds at once, and only a value
+/// whose correctly rounded P-digit text misses goes on to P + 1.
+void doubleTo(std::string &Out, double D) {
+  if (!std::isfinite(D)) {
+    Out += "null"; // JSON has no Inf/NaN; null is the conventional stand-in.
+    return;
+  }
+  char Buf[32];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), D,
+                            std::chars_format::scientific)
+                  .ptr;
+  int Prec = 0;
+  for (const char *P = Buf; P != End && *P != 'e'; ++P)
+    Prec += std::isdigit(static_cast<unsigned char>(*P)) != 0;
+  for (;; ++Prec) {
+    End = std::to_chars(Buf, Buf + sizeof(Buf), D, std::chars_format::general,
+                        Prec)
+              .ptr;
+    double Back = 0;
+    std::from_chars(Buf, End, Back);
+    if (Back == D || Prec >= 17)
+      break;
+  }
+  Out.append(Buf, End);
+}
+
+void dumpTo(std::string &Out, const Json &J) {
   if (J.isNull()) {
-    OS << "null";
+    Out += "null";
   } else if (J.isBool()) {
-    OS << (J.asBool() ? "true" : "false");
+    Out += J.asBool() ? "true" : "false";
   } else if (J.isInt()) {
-    OS << J.asInt();
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), J.asInt()).ptr);
   } else if (J.isDouble()) {
-    double D = J.asDouble();
-    if (!std::isfinite(D)) {
-      OS << "null"; // JSON has no Inf/NaN; null is the conventional stand-in.
-      return;
-    }
-    char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-    // Trim to the shortest representation that round-trips.
-    for (int Prec = 1; Prec < 17; ++Prec) {
-      char Short[40];
-      std::snprintf(Short, sizeof(Short), "%.*g", Prec, D);
-      if (std::strtod(Short, nullptr) == D) {
-        OS << Short;
-        return;
-      }
-    }
-    OS << Buf;
+    doubleTo(Out, J.asDouble());
   } else if (J.isString()) {
-    escapeTo(OS, J.asString());
+    escapeTo(Out, J.asString());
   } else if (J.isArray()) {
-    OS << '[';
+    Out += '[';
     bool First = true;
     for (const Json &E : J.asArray()) {
       if (!First)
-        OS << ',';
+        Out += ',';
       First = false;
-      dumpTo(OS, E);
+      dumpTo(Out, E);
     }
-    OS << ']';
+    Out += ']';
   } else {
-    OS << '{';
+    Out += '{';
     bool First = true;
     for (const auto &[K, V] : J.asObject()) {
       if (!First)
-        OS << ',';
+        Out += ',';
       First = false;
-      escapeTo(OS, K);
-      OS << ':';
-      dumpTo(OS, V);
+      escapeTo(Out, K);
+      Out += ':';
+      dumpTo(Out, V);
     }
-    OS << '}';
+    Out += '}';
   }
 }
 
 } // namespace
 
 std::string Json::dump() const {
-  std::ostringstream OS;
-  dumpTo(OS, *this);
-  return OS.str();
+  std::string Out;
+  dumpTo(Out, *this);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

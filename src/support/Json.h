@@ -143,7 +143,10 @@ public:
   // Serialization ----------------------------------------------------------
 
   /// Serializes on one line (the protocol's framing forbids raw newlines
-  /// outside string escapes, which dump never produces).
+  /// outside string escapes, which dump never produces). Integers print
+  /// exactly. A double prints as the shortest `%.{P}g` text (P = 1..17)
+  /// that parses back to the same double — so 6180.0 is `6.18e+03`, not
+  /// `6180` — and as `null` when it is not finite.
   std::string dump() const;
 
   /// Parses \p Text. On failure returns std::nullopt and, when \p Err is

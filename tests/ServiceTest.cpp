@@ -27,13 +27,18 @@
 #include "service/TcpServer.h"
 #include "support/Metrics.h"
 #include "support/Socket.h"
+#include "support/StableHash.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -103,6 +108,81 @@ TEST(Json, IntegersRoundTripExactly) {
   EXPECT_EQ(Back->at("v").asInt(), Big);
 }
 
+/// Dump of 200k doubles drawn from a fixed-seed generator: raw 64-bit
+/// patterns (every exponent, subnormals, NaNs and infinities), then short
+/// decimals (a 7-digit mantissa over a power of ten).
+std::string seededDoublesDump() {
+  static const double Pow10[] = {1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8};
+  std::mt19937_64 Rng(20200615);
+  Json Arr = Json::array();
+  for (int I = 0; I != 100000; ++I) {
+    uint64_t Bits = Rng();
+    double D;
+    std::memcpy(&D, &Bits, sizeof(D));
+    Arr.push_back(D);
+  }
+  for (int I = 0; I != 100000; ++I) {
+    double Mantissa = static_cast<double>(Rng() % 10000000);
+    Arr.push_back(Mantissa / Pow10[Rng() % 9]);
+  }
+  return Arr.dump();
+}
+
+TEST(Json, DumpTextIsPinned) {
+  // The wire text of numbers and strings, recorded from the
+  // snprintf/strtod serializer this one replaced: any byte that moves
+  // changes every cache payload and reference file. A double prints as
+  // the shortest %.{P}g that round-trips, so 6180 and 1200000 take the
+  // exponent form a shortest-digits printer would not.
+  const std::pair<double, const char *> Doubles[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {1e21, "1e+21"},
+      {1e-7, "1e-07"},
+      {0.1 + 0.2, "0.30000000000000004"},
+      {5e-324, "5e-324"},
+      {2.2250738585072014e-308, "2.2250738585072014e-308"},
+      {1.7976931348623157e+308, "1.7976931348623157e+308"},
+      {6180.0, "6.18e+03"},
+      {1200000.0, "1.2e+06"},
+      {0.0001, "0.0001"},
+      {1.0 / 3.0, "0.3333333333333333"},
+      {std::numeric_limits<double>::infinity(), "null"},
+      {std::numeric_limits<double>::quiet_NaN(), "null"},
+  };
+  for (const auto &[D, Text] : Doubles)
+    EXPECT_EQ(Json(D).dump(), Text) << Text;
+  EXPECT_EQ(Json(std::numeric_limits<int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<int64_t>::max()).dump(),
+            "9223372036854775807");
+
+  std::string Controls;
+  for (int C = 0; C != 0x20; ++C)
+    Controls += static_cast<char>(C);
+  Controls += "\"\\/\x7f";
+  EXPECT_EQ(Json(Controls).dump(),
+            R"("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n)"
+            R"(\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015)"
+            R"(\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e)"
+            R"(\u001f\"\\/)"
+            "\x7f\"");
+
+  std::ifstream In(DAHLIA_PERFBENCH_REFERENCE);
+  ASSERT_TRUE(In) << DAHLIA_PERFBENCH_REFERENCE;
+  std::stringstream Text;
+  Text << In.rdbuf();
+  std::optional<Json> Ref = Json::parse(Text.str());
+  ASSERT_TRUE(Ref.has_value());
+  std::string RefDump = Ref->dump();
+  EXPECT_EQ(RefDump.size(), 366666u);
+  EXPECT_EQ(stableHash(RefDump), 0xc164b33a6ce1b39bULL);
+
+  std::string Seeded = seededDoublesDump();
+  EXPECT_EQ(Seeded.size(), 3252190u);
+  EXPECT_EQ(stableHash(Seeded), 0xb3c0f9c172835d9bULL);
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol
 //===----------------------------------------------------------------------===//
@@ -156,6 +236,139 @@ TEST(Protocol, RejectsInvalidRequests) {
           R"({"id":1,"op":"check","session":"s","source":"x","rewrite":{}})",
           &Err)
           .has_value());
+}
+
+TEST(Protocol, ResponseRoundTrip) {
+  // Every field of every op's response survives toJson -> dump ->
+  // decodeResponse, and the decoded response re-dumps to the same bytes.
+  const Op Ops[] = {Op::Check,    Op::Estimate,    Op::Lower,
+                    Op::Simulate, Op::DseSweep,    Op::Metrics,
+                    Op::Watch,    Op::CacheExport, Op::CacheImport};
+  const ErrorKind Kinds[] = {
+      ErrorKind::Lex,    ErrorKind::Parse,  ErrorKind::Type,
+      ErrorKind::Affine, ErrorKind::Banking, ErrorKind::Unroll,
+      ErrorKind::View,   ErrorKind::Semantics, ErrorKind::Internal};
+
+  hlsim::Estimate Est;
+  Est.Cycles = 6180;
+  Est.RuntimeMs = 0.1 + 0.2;
+  Est.II = 2;
+  Est.Lut = 1234;
+  Est.Ff = 5678;
+  Est.Bram = 9;
+  Est.Dsp = 10;
+  Est.LutMem = 11;
+  Est.Incorrect = true;
+  Est.Predictable = false;
+
+  cyclesim::SimResult Sim;
+  Sim.Cycles = 1200000;
+  Sim.II = 3;
+  Sim.Truncated = true;
+  Sim.WalkedGroups = 77;
+  for (int I = 0; I != 2; ++I) {
+    cyclesim::NestSim N;
+    N.II = 1 + I;
+    N.EffectiveII = 2.5 + I;
+    N.Groups = 64 << I;
+    N.Cycles = 1.0 / 3.0 + I;
+    N.WalkedGroups = 5 + I;
+    N.ConflictGroups = 2 + I;
+    N.StallCycles = 40 + I;
+    N.MaxPortPressure = 4 + I;
+    N.PeriodComplete = I == 0;
+    Sim.Nests.push_back(N);
+  }
+
+  for (Op K : Ops) {
+    SCOPED_TRACE(opName(K));
+    EXPECT_EQ(opFromName(opName(K)), K);
+    Response R;
+    R.Id = 9007199254740993; // 2^53 + 1
+    R.Kind = K;
+    R.Ok = true;
+    R.Cached = true;
+    R.ParseReused = true;
+    R.LatencyMs = 0.0001;
+    uint32_t Line = 1;
+    for (ErrorKind EK : Kinds) {
+      EXPECT_EQ(errorKindFromName(errorKindName(EK)), EK);
+      R.Errors.push_back(Error(EK, std::string("bad ") + errorKindName(EK),
+                               SourceLoc(Line, Line + 10)));
+      ++Line;
+    }
+    R.Est = Est;
+    R.Sim = Sim;
+    R.Lowered = "decl A: bit<32>[4];\n";
+    R.Sweep = Json::object();
+    R.Sweep["front_hash"] = "0x9631c78d9cd7f284";
+    R.Sweep["explored"] = 32000;
+    R.Metrics = Json::object();
+    R.Metrics["counters"]["service.requests"] = 3;
+    R.Watch = Json::object();
+    R.Watch["progress"] = 0.5;
+    R.Cache = Json::object();
+    R.Cache["verdicts"] = Json::array();
+    R.TraceId = 0xfeedULL;
+
+    std::string Line1 = R.toJson().dump();
+    ClientResponse C = decodeResponse(Line1);
+    const Response &D = C.R;
+    EXPECT_EQ(D.Id, R.Id);
+    EXPECT_EQ(D.Kind, K);
+    EXPECT_TRUE(D.Ok);
+    EXPECT_TRUE(D.Cached);
+    EXPECT_TRUE(D.ParseReused);
+    EXPECT_EQ(D.LatencyMs, R.LatencyMs);
+    ASSERT_EQ(D.Errors.size(), R.Errors.size());
+    for (size_t I = 0; I != R.Errors.size(); ++I) {
+      EXPECT_EQ(D.Errors[I].kind(), R.Errors[I].kind());
+      EXPECT_EQ(D.Errors[I].message(), R.Errors[I].message());
+      EXPECT_EQ(D.Errors[I].loc(), R.Errors[I].loc());
+    }
+    ASSERT_TRUE(D.Est.has_value());
+    EXPECT_EQ(D.Est->Cycles, Est.Cycles);
+    EXPECT_EQ(D.Est->RuntimeMs, Est.RuntimeMs);
+    EXPECT_EQ(D.Est->II, Est.II);
+    EXPECT_EQ(D.Est->Lut, Est.Lut);
+    EXPECT_EQ(D.Est->Ff, Est.Ff);
+    EXPECT_EQ(D.Est->Bram, Est.Bram);
+    EXPECT_EQ(D.Est->Dsp, Est.Dsp);
+    EXPECT_EQ(D.Est->LutMem, Est.LutMem);
+    EXPECT_EQ(D.Est->Incorrect, Est.Incorrect);
+    EXPECT_EQ(D.Est->Predictable, Est.Predictable);
+    ASSERT_TRUE(D.Sim.has_value());
+    EXPECT_EQ(D.Sim->Cycles, Sim.Cycles);
+    EXPECT_EQ(D.Sim->II, Sim.II);
+    EXPECT_EQ(D.Sim->Truncated, Sim.Truncated);
+    EXPECT_EQ(D.Sim->WalkedGroups, Sim.WalkedGroups);
+    ASSERT_EQ(D.Sim->Nests.size(), 2u);
+    for (size_t I = 0; I != 2; ++I) {
+      const cyclesim::NestSim &A = D.Sim->Nests[I], &B = Sim.Nests[I];
+      EXPECT_EQ(A.II, B.II);
+      EXPECT_EQ(A.EffectiveII, B.EffectiveII);
+      EXPECT_EQ(A.Groups, B.Groups);
+      EXPECT_EQ(A.Cycles, B.Cycles);
+      EXPECT_EQ(A.WalkedGroups, B.WalkedGroups);
+      EXPECT_EQ(A.ConflictGroups, B.ConflictGroups);
+      EXPECT_EQ(A.StallCycles, B.StallCycles);
+      EXPECT_EQ(A.MaxPortPressure, B.MaxPortPressure);
+      EXPECT_EQ(A.PeriodComplete, B.PeriodComplete);
+    }
+    EXPECT_EQ(D.Lowered, R.Lowered);
+    // Each op's payload object rides only on that op's responses.
+    auto Expect = [&](const Json &Got, const Json &Want, bool Rides) {
+      EXPECT_EQ(Got.dump(), Rides ? Want.dump() : "null");
+    };
+    Expect(D.Sweep, R.Sweep, K == Op::DseSweep);
+    Expect(D.Metrics, R.Metrics, K == Op::Metrics);
+    Expect(D.Watch, R.Watch, K == Op::Watch);
+    Expect(D.Cache, R.Cache, K == Op::CacheExport || K == Op::CacheImport);
+    EXPECT_EQ(D.TraceId, R.TraceId);
+
+    EXPECT_EQ(C.Raw.dump(), Line1);
+    EXPECT_EQ(D.toJson().dump(), Line1);
+  }
 }
 
 //===----------------------------------------------------------------------===//
