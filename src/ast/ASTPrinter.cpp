@@ -7,13 +7,15 @@
 
 #include "ast/ASTPrinter.h"
 
+#include "support/StringUtils.h"
+
 #include <sstream>
 
 using namespace dahlia;
 
 namespace {
 
-/// Stateful printer accumulating into a string stream.
+/// Stateful printer appending into one string.
 class Printer {
 public:
   std::string exprStr(const Expr &E) {
@@ -55,10 +57,10 @@ public:
   }
 
 private:
-  std::ostringstream OS;
+  StringAppender OS;
   unsigned Level = 0;
 
-  std::string take() { return OS.str(); }
+  std::string take() { return OS.take(); }
 
   void indent() {
     for (unsigned I = 0; I != Level; ++I)

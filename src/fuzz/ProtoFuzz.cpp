@@ -407,7 +407,10 @@ struct Soak {
     for (size_t A = 0; A < sizeof(Catalog) / sizeof(Catalog[0]); ++A) {
       Rng Rnd(O.Seed * 1000003 + static_cast<uint64_t>(RoundIdx) * 131 + A);
       ++R.Stats.Attacks;
-      (this->*Catalog[A])(Rnd);
+      // Through a local: g++ 12's UBSan misreads the index of a
+      // member-pointer array inside `this->*` as out of bounds.
+      Attack Run = Catalog[A];
+      (this->*Run)(Rnd);
     }
     ++R.Stats.Rounds;
   }

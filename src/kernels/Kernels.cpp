@@ -7,8 +7,9 @@
 
 #include "kernels/Kernels.h"
 
+#include "support/StringUtils.h"
+
 #include <memory>
-#include <sstream>
 
 using namespace dahlia::kernels;
 using namespace dahlia::hlsim;
@@ -66,37 +67,37 @@ std::vector<GemmBlockedConfig> dahlia::kernels::gemmBlockedSpace() {
 
 std::string
 dahlia::kernels::gemmBlockedDahlia(const GemmBlockedConfig &C) {
-  std::ostringstream OS;
-  OS << "decl m1: bit<32>[128 bank " << C.Bank11 << "][128 bank " << C.Bank12
-     << "];\n"
-     << "decl m2: bit<32>[128 bank " << C.Bank11 << "][128 bank " << C.Bank12
-     << "];\n"
-     << "decl prod: bit<32>[128 bank " << C.Bank21 << "][128 bank "
-     << C.Bank22 << "];\n"
-     << "for (let jj = 0..16) {\n"
-     << "  for (let kk = 0..16) {\n"
-     << "    view m1v = suffix m1[by 0][by 8 * kk];\n"
-     << "    view m2v = suffix m2[by 8 * kk][by 8 * jj];\n"
-     << "    view prodv = suffix prod[by 0][by 8 * jj];\n"
-     << "    for (let i = 0..128) unroll " << C.Unroll1 << " {\n"
-     << "      for (let j = 0..8) unroll " << C.Unroll2 << " {\n"
-     << "        let sum = 0;\n"
-     << "        {\n"
-     << "          for (let k = 0..8) unroll " << C.Unroll3 << " {\n"
-     << "            let v = m1v[i][k] * m2v[k][j];\n"
-     << "          } combine {\n"
-     << "            sum += v;\n"
-     << "          }\n"
-     << "        }\n"
-     << "        ---\n"
-     << "        let cur = prodv[i][j]\n"
-     << "        ---\n"
-     << "        prodv[i][j] := cur + sum;\n"
-     << "      }\n"
-     << "    }\n"
-     << "  }\n"
-     << "}\n";
-  return OS.str();
+  // Adjacent literals join at compile time; only the knobs are appended.
+  return concat(
+      "decl m1: bit<32>[128 bank ", C.Bank11, "][128 bank ", C.Bank12,
+      "];\n"
+      "decl m2: bit<32>[128 bank ", C.Bank11, "][128 bank ", C.Bank12,
+      "];\n"
+      "decl prod: bit<32>[128 bank ", C.Bank21, "][128 bank ", C.Bank22,
+      "];\n"
+      "for (let jj = 0..16) {\n"
+      "  for (let kk = 0..16) {\n"
+      "    view m1v = suffix m1[by 0][by 8 * kk];\n"
+      "    view m2v = suffix m2[by 8 * kk][by 8 * jj];\n"
+      "    view prodv = suffix prod[by 0][by 8 * jj];\n"
+      "    for (let i = 0..128) unroll ", C.Unroll1, " {\n"
+      "      for (let j = 0..8) unroll ", C.Unroll2, " {\n"
+      "        let sum = 0;\n"
+      "        {\n"
+      "          for (let k = 0..8) unroll ", C.Unroll3, " {\n"
+      "            let v = m1v[i][k] * m2v[k][j];\n"
+      "          } combine {\n"
+      "            sum += v;\n"
+      "          }\n"
+      "        }\n"
+      "        ---\n"
+      "        let cur = prodv[i][j]\n"
+      "        ---\n"
+      "        prodv[i][j] := cur + sum;\n"
+      "      }\n"
+      "    }\n"
+      "  }\n"
+      "}\n");
 }
 
 KernelSpec dahlia::kernels::gemmBlockedSpec(const GemmBlockedConfig &C) {
@@ -147,33 +148,33 @@ std::vector<Stencil2dConfig> dahlia::kernels::stencil2dSpace() {
 }
 
 std::string dahlia::kernels::stencil2dDahlia(const Stencil2dConfig &C) {
-  std::ostringstream OS;
-  OS << "decl orig: bit<32>[120 bank " << C.OrigBank1 << "][60 bank "
-     << C.OrigBank2 << "];\n"
-     << "decl sol: bit<32>[120][60];\n"
-     << "decl filter: bit<32>[3 bank " << C.FilterBank1 << "][3 bank "
-     << C.FilterBank2 << "];\n"
-     << "for (let r = 0..118) {\n"
-     << "  for (let c = 0..58) {\n"
-     << "    view window = shift orig[by r][by c];\n"
-     << "    let temp = 0;\n"
-     << "    {\n"
-     << "      for (let k1 = 0..3) unroll " << C.Unroll1 << " {\n"
-     << "        let part = 0;\n"
-     << "        for (let k2 = 0..3) unroll " << C.Unroll2 << " {\n"
-     << "          let mul = filter[k1][k2] * window[k1][k2];\n"
-     << "        } combine {\n"
-     << "          part += mul;\n"
-     << "        }\n"
-     << "      } combine {\n"
-     << "        temp += part;\n"
-     << "      }\n"
-     << "    }\n"
-     << "    ---\n"
-     << "    sol[r][c] := temp;\n"
-     << "  }\n"
-     << "}\n";
-  return OS.str();
+  return concat(
+      "decl orig: bit<32>[120 bank ", C.OrigBank1, "][60 bank ", C.OrigBank2,
+      "];\n"
+      "decl sol: bit<32>[120][60];\n"
+      "decl filter: bit<32>[3 bank ", C.FilterBank1, "][3 bank ",
+      C.FilterBank2,
+      "];\n"
+      "for (let r = 0..118) {\n"
+      "  for (let c = 0..58) {\n"
+      "    view window = shift orig[by r][by c];\n"
+      "    let temp = 0;\n"
+      "    {\n"
+      "      for (let k1 = 0..3) unroll ", C.Unroll1, " {\n"
+      "        let part = 0;\n"
+      "        for (let k2 = 0..3) unroll ", C.Unroll2, " {\n"
+      "          let mul = filter[k1][k2] * window[k1][k2];\n"
+      "        } combine {\n"
+      "          part += mul;\n"
+      "        }\n"
+      "      } combine {\n"
+      "        temp += part;\n"
+      "      }\n"
+      "    }\n"
+      "    ---\n"
+      "    sol[r][c] := temp;\n"
+      "  }\n"
+      "}\n");
 }
 
 KernelSpec dahlia::kernels::stencil2dSpec(const Stencil2dConfig &C) {
@@ -224,46 +225,48 @@ std::vector<MdKnnConfig> dahlia::kernels::mdKnnSpace() {
 }
 
 std::string dahlia::kernels::mdKnnDahlia(const MdKnnConfig &C) {
-  std::ostringstream OS;
   // The position/force data is floating point (the spec models the
   // Lennard-Jones chain in FP); only the neighbour-index list is integer.
-  OS << "decl position: float[256 bank " << C.BankPos << "];\n"
-     << "decl pos_stage: float[256];\n"
-     // The atom dimension's banking tracks the unroll factor (our port
-     // re-banks the staging memory it owns); the neighbour dimension's
-     // banking is the swept BankNlPos parameter and gates inner
-     // parallelism.
-     << "decl nlpos: float[256 bank " << C.UnrollI << "][16 bank "
-     << C.BankNlPos << "];\n"
-     << "decl nl: bit<32>[256 bank " << C.BankNl << "][16];\n"
-     << "decl force: float[256 bank " << C.BankForce << "];\n"
-     // Phase 1: the data-dependent gather, hoisted into its own serial
-     // loop (Section 5.3: "we hoist this serial section").
-     << "for (let i0 = 0..256) {\n"
-     << "  for (let j0 = 0..16) {\n"
-     << "    let nid = nl[i0][j0]\n"
-     << "    ---\n"
-     << "    let p = pos_stage[nid]\n"
-     << "    ---\n"
-     << "    nlpos[i0][j0] := p;\n"
-     << "  }\n"
-     << "}\n"
-     << "---\n"
-     // Phase 2: the parallelizable force computation.
-     << "for (let i = 0..256) unroll " << C.UnrollI << " {\n"
-     << "  let fsum = 0.0;\n"
-     << "  {\n"
-     << "    for (let j = 0..16) unroll " << C.UnrollJ << " {\n"
-     << "      let del = position[i] - nlpos[i][j];\n"
-     << "      let contrib = del * del * del;\n"
-     << "    } combine {\n"
-     << "      fsum += contrib;\n"
-     << "    }\n"
-     << "  }\n"
-     << "  ---\n"
-     << "  force[i] := fsum;\n"
-     << "}\n";
-  return OS.str();
+  return concat(
+      "decl position: float[256 bank ", C.BankPos,
+      "];\n"
+      "decl pos_stage: float[256];\n"
+      // The atom dimension's banking tracks the unroll factor (our port
+      // re-banks the staging memory it owns); the neighbour dimension's
+      // banking is the swept BankNlPos parameter and gates inner
+      // parallelism.
+      "decl nlpos: float[256 bank ", C.UnrollI, "][16 bank ", C.BankNlPos,
+      "];\n"
+      "decl nl: bit<32>[256 bank ", C.BankNl,
+      "][16];\n"
+      "decl force: float[256 bank ", C.BankForce,
+      "];\n"
+      // Phase 1: the data-dependent gather, hoisted into its own serial
+      // loop (Section 5.3: "we hoist this serial section").
+      "for (let i0 = 0..256) {\n"
+      "  for (let j0 = 0..16) {\n"
+      "    let nid = nl[i0][j0]\n"
+      "    ---\n"
+      "    let p = pos_stage[nid]\n"
+      "    ---\n"
+      "    nlpos[i0][j0] := p;\n"
+      "  }\n"
+      "}\n"
+      "---\n"
+      // Phase 2: the parallelizable force computation.
+      "for (let i = 0..256) unroll ", C.UnrollI, " {\n"
+      "  let fsum = 0.0;\n"
+      "  {\n"
+      "    for (let j = 0..16) unroll ", C.UnrollJ, " {\n"
+      "      let del = position[i] - nlpos[i][j];\n"
+      "      let contrib = del * del * del;\n"
+      "    } combine {\n"
+      "      fsum += contrib;\n"
+      "    }\n"
+      "  }\n"
+      "  ---\n"
+      "  force[i] := fsum;\n"
+      "}\n");
 }
 
 KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
@@ -330,32 +333,33 @@ std::vector<MdGridConfig> dahlia::kernels::mdGridSpace() {
 }
 
 std::string dahlia::kernels::mdGridDahlia(const MdGridConfig &C) {
-  std::ostringstream OS;
   // Floating-point interface, matching the spec's FP force model.
-  OS << "decl pos: float[4 bank " << C.Bank1 << "][4 bank " << C.Bank2
-     << "][4 bank " << C.Bank3 << "][16];\n"
-     << "decl frc: float[4 bank " << C.Bank1 << "][4 bank " << C.Bank2
-     << "][4 bank " << C.Bank3 << "][16];\n"
-     // The outer three (cell) loops are parallelizable; the inner atom
-     // loop is a sequential reduction per cell.
-     << "for (let i = 0..4) unroll " << C.Unroll1 << " {\n"
-     << "  for (let j = 0..4) unroll " << C.Unroll2 << " {\n"
-     << "    for (let k = 0..4) unroll " << C.Unroll3 << " {\n"
-     << "      let acc = 0.0;\n"
-     << "      {\n"
-     << "        for (let a = 0..16) {\n"
-     << "          let q = pos[i][j][k][a];\n"
-     << "          let v = q * q;\n"
-     << "        } combine {\n"
-     << "          acc += v;\n"
-     << "        }\n"
-     << "      }\n"
-     << "      ---\n"
-     << "      frc[i][j][k][0] := acc;\n"
-     << "    }\n"
-     << "  }\n"
-     << "}\n";
-  return OS.str();
+  return concat(
+      "decl pos: float[4 bank ", C.Bank1, "][4 bank ", C.Bank2, "][4 bank ",
+      C.Bank3,
+      "][16];\n"
+      "decl frc: float[4 bank ", C.Bank1, "][4 bank ", C.Bank2, "][4 bank ",
+      C.Bank3,
+      "][16];\n"
+      // The outer three (cell) loops are parallelizable; the inner atom
+      // loop is a sequential reduction per cell.
+      "for (let i = 0..4) unroll ", C.Unroll1, " {\n"
+      "  for (let j = 0..4) unroll ", C.Unroll2, " {\n"
+      "    for (let k = 0..4) unroll ", C.Unroll3, " {\n"
+      "      let acc = 0.0;\n"
+      "      {\n"
+      "        for (let a = 0..16) {\n"
+      "          let q = pos[i][j][k][a];\n"
+      "          let v = q * q;\n"
+      "        } combine {\n"
+      "          acc += v;\n"
+      "        }\n"
+      "      }\n"
+      "      ---\n"
+      "      frc[i][j][k][0] := acc;\n"
+      "    }\n"
+      "  }\n"
+      "}\n");
 }
 
 KernelSpec dahlia::kernels::mdGridSpec(const MdGridConfig &C) {

@@ -10,6 +10,11 @@
 /// ordered-composition separator `---`, the range `..`, the assignment
 /// `:=`, and the reducers `+=` `-=` `*=` `/=`.
 ///
+/// Tokens do not own their text: \c Token::Text is a view into the source
+/// buffer passed to \c lex, so a token stream is valid only while that
+/// buffer is alive and unmodified. Whatever outlives the source (AST
+/// names, diagnostics) copies the text out.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAHLIA_LEXER_LEXER_H
@@ -19,7 +24,6 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -87,11 +91,12 @@ enum class TokKind {
 /// Human-readable token-kind name for diagnostics.
 const char *tokKindName(TokKind Kind);
 
-/// One lexed token. \c Text is the source spelling for identifiers and
-/// literals; \c IntValue / \c FloatValue carry decoded literal values.
+/// One lexed token. \c Text is the source spelling (a view into the
+/// source; empty for Eof); \c IntValue / \c FloatValue carry decoded
+/// literal values.
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;
+  std::string_view Text;
   int64_t IntValue = 0;
   double FloatValue = 0;
   SourceLoc Loc;
@@ -101,7 +106,7 @@ struct Token {
 
 /// Lexes \p Source in one pass; `//` line comments and `/* */` block
 /// comments are skipped. Returns the token stream (terminated by Eof) or
-/// the first lexical error.
+/// the first lexical error. The tokens view \p Source's bytes.
 Result<std::vector<Token>> lex(std::string_view Source);
 
 } // namespace dahlia

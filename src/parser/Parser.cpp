@@ -8,14 +8,15 @@
 #include "parser/Parser.h"
 
 #include "lexer/Lexer.h"
-
-#include <sstream>
+#include "support/StringUtils.h"
 
 using namespace dahlia;
 
 namespace {
 
-/// Recursive-descent parser over a pre-lexed token stream.
+/// Recursive-descent parser over a pre-lexed token stream. The tokens view
+/// the source, which outlives the parser; names are copied out only where
+/// an AST node stores them.
 class Parser {
 public:
   explicit Parser(std::vector<Token> Toks) : Toks(std::move(Toks)) {}
@@ -40,7 +41,7 @@ public:
       break;
     }
     if (!at(TokKind::Eof)) {
-      Result<CmdPtr> Body = parseCmdSeq({TokKind::Eof});
+      Result<CmdPtr> Body = parseCmdSeq(TokKind::Eof);
       if (!Body)
         return Body.error();
       P.Body = Body.take();
@@ -53,7 +54,7 @@ public:
   }
 
   Result<CmdPtr> parseCommandTop() {
-    Result<CmdPtr> C = parseCmdSeq({TokKind::Eof});
+    Result<CmdPtr> C = parseCmdSeq(TokKind::Eof);
     if (!C)
       return C.error();
     if (ResultVoid R = expect(TokKind::Eof); !R)
@@ -103,8 +104,8 @@ private:
   }
   bool at(TokKind K) const { return cur().is(K); }
 
-  Token eat() {
-    Token T = cur();
+  const Token &eat() {
+    const Token &T = cur();
     if (Pos + 1 < Toks.size())
       ++Pos;
     return T;
@@ -117,30 +118,31 @@ private:
     return true;
   }
 
-  Error err(const std::string &Msg) const {
-    return Error(ErrorKind::Parse, Msg, cur().Loc);
+  Error err(std::string Msg) const {
+    return Error(ErrorKind::Parse, std::move(Msg), cur().Loc);
+  }
+
+  /// "expected <what> but found <current token kind>".
+  Error errExpected(std::string_view What) const {
+    return err(
+        concat("expected ", What, " but found ", tokKindName(cur().Kind)));
   }
 
   ResultVoid expect(TokKind K) {
     if (accept(K))
       return ResultVoid();
-    std::ostringstream OS;
-    OS << "expected " << tokKindName(K) << " but found "
-       << tokKindName(cur().Kind);
-    return err(OS.str());
+    return errExpected(tokKindName(K));
   }
 
   Result<std::string> expectIdent() {
     if (!at(TokKind::Ident))
-      return err(std::string("expected identifier but found ") +
-                 tokKindName(cur().Kind));
-    return eat().Text;
+      return errExpected("identifier");
+    return std::string(eat().Text);
   }
 
   Result<int64_t> expectInt() {
     if (!at(TokKind::IntLit))
-      return err(std::string("expected integer literal but found ") +
-                 tokKindName(cur().Kind));
+      return errExpected("integer literal");
     return eat().IntValue;
   }
 
@@ -195,9 +197,8 @@ private:
 
   Result<TypeRef> parseBaseType() {
     if (!at(TokKind::Ident))
-      return err(std::string("expected type but found ") +
-                 tokKindName(cur().Kind));
-    std::string Name = eat().Text;
+      return errExpected("type");
+    std::string_view Name = eat().Text;
     if (Name == "bool")
       return Type::getBool();
     if (Name == "float")
@@ -216,7 +217,7 @@ private:
         return R.error();
       return Type::getBit(static_cast<unsigned>(*W), Name == "bit");
     }
-    return err("unknown type '" + Name + "'");
+    return err(concat("unknown type '", Name, "'"));
   }
 
   //===--------------------------------------------------------------------===//
@@ -225,8 +226,7 @@ private:
 
   Result<ExprPtr> parseExpr() {
     if (Depth >= MaxDepth)
-      return err("expression nesting exceeds " + std::to_string(MaxDepth) +
-                 " levels");
+      return err(concat("expression nesting exceeds ", MaxDepth, " levels"));
     DepthGuard G(Depth);
     return parseOr();
   }
@@ -350,7 +350,7 @@ private:
 
   Result<ExprPtr> parsePostfix() {
     if (at(TokKind::Ident)) {
-      Token Id = eat();
+      const Token &Id = eat();
       // Function application.
       if (at(TokKind::LParen)) {
         eat();
@@ -368,7 +368,8 @@ private:
         if (ResultVoid R = expect(TokKind::RParen); !R)
           return R.error();
         return ExprPtr(
-            std::make_unique<AppExpr>(Id.Text, std::move(Args), Id.Loc));
+            std::make_unique<AppExpr>(std::string(Id.Text), std::move(Args),
+                                      Id.Loc));
       }
       // Physical access A{b}[i].
       if (at(TokKind::LBrace)) {
@@ -386,7 +387,7 @@ private:
         if (ResultVoid R = expect(TokKind::RBracket); !R)
           return R.error();
         return ExprPtr(std::make_unique<PhysAccessExpr>(
-            Id.Text, Bank.take(), Off.take(), Id.Loc));
+            std::string(Id.Text), Bank.take(), Off.take(), Id.Loc));
       }
       // Logical access A[e][e']...
       if (at(TokKind::LBracket)) {
@@ -400,9 +401,10 @@ private:
             return R.error();
         }
         return ExprPtr(std::make_unique<AccessExpr>(
-            Id.Text, std::move(Indices), Id.Loc));
+            std::string(Id.Text), std::move(Indices), Id.Loc));
       }
-      return ExprPtr(std::make_unique<VarExpr>(Id.Text, Id.Loc));
+      return ExprPtr(
+          std::make_unique<VarExpr>(std::string(Id.Text), Id.Loc));
     }
     return parsePrimary();
   }
@@ -410,19 +412,19 @@ private:
   Result<ExprPtr> parsePrimary() {
     switch (cur().Kind) {
     case TokKind::IntLit: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<IntLitExpr>(T.IntValue, T.Loc));
     }
     case TokKind::FloatLit: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<FloatLitExpr>(T.FloatValue, T.Loc));
     }
     case TokKind::KwTrue: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<BoolLitExpr>(true, T.Loc));
     }
     case TokKind::KwFalse: {
-      Token T = eat();
+      const Token &T = eat();
       return ExprPtr(std::make_unique<BoolLitExpr>(false, T.Loc));
     }
     case TokKind::LParen: {
@@ -435,8 +437,7 @@ private:
       return E;
     }
     default:
-      return err(std::string("expected expression but found ") +
-                 tokKindName(cur().Kind));
+      return errExpected("expression");
     }
   }
 
@@ -444,15 +445,8 @@ private:
   // Commands
   //===--------------------------------------------------------------------===//
 
-  bool atAny(const std::vector<TokKind> &Kinds) const {
-    for (TokKind K : Kinds)
-      if (at(K))
-        return true;
-    return false;
-  }
-
-  /// cmd := par ('---' par)*
-  Result<CmdPtr> parseCmdSeq(const std::vector<TokKind> &Stop) {
+  /// cmd := par ('---' par)*, up to (not including) \p Stop.
+  Result<CmdPtr> parseCmdSeq(TokKind Stop) {
     SourceLoc Loc = cur().Loc;
     std::vector<CmdPtr> Steps;
     while (true) {
@@ -470,10 +464,10 @@ private:
 
   /// par := stmt* — adjacency is unordered composition; ';' terminators are
   /// optional after block-shaped statements.
-  Result<CmdPtr> parseParGroup(const std::vector<TokKind> &Stop) {
+  Result<CmdPtr> parseParGroup(TokKind Stop) {
     SourceLoc Loc = cur().Loc;
     std::vector<CmdPtr> Stmts;
-    while (!atAny(Stop) && !at(TokKind::SeqSep) && !at(TokKind::Eof)) {
+    while (!at(Stop) && !at(TokKind::SeqSep) && !at(TokKind::Eof)) {
       Result<CmdPtr> S = parseStmt();
       if (!S)
         return S;
@@ -500,7 +494,7 @@ private:
     case TokKind::KwFor:
       return parseFor();
     case TokKind::KwSkip: {
-      Token T = eat();
+      const Token &T = eat();
       return CmdPtr(std::make_unique<SkipCmd>(T.Loc));
     }
     case TokKind::LBrace:
@@ -512,13 +506,12 @@ private:
 
   Result<CmdPtr> parseBlock() {
     if (Depth >= MaxDepth)
-      return err("block nesting exceeds " + std::to_string(MaxDepth) +
-                 " levels");
+      return err(concat("block nesting exceeds ", MaxDepth, " levels"));
     DepthGuard G(Depth);
     SourceLoc Loc = cur().Loc;
     if (ResultVoid R = expect(TokKind::LBrace); !R)
       return R.error();
-    Result<CmdPtr> Body = parseCmdSeq({TokKind::RBrace});
+    Result<CmdPtr> Body = parseCmdSeq(TokKind::RBrace);
     if (!Body)
       return Body;
     if (ResultVoid R = expect(TokKind::RBrace); !R)

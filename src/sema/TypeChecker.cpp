@@ -8,12 +8,12 @@
 #include "sema/TypeChecker.h"
 
 #include "ast/ASTPrinter.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 
 using namespace dahlia;
 
@@ -210,8 +210,8 @@ private:
   // Diagnostics and scope management
   //===--------------------------------------------------------------------===//
 
-  void diag(ErrorKind K, const std::string &Msg, SourceLoc Loc) {
-    Errors.emplace_back(K, Msg, Loc);
+  void diag(ErrorKind K, std::string Msg, SourceLoc Loc) {
+    Errors.emplace_back(K, std::move(Msg), Loc);
   }
 
   void pushScope() { Scopes.emplace_back(); }
@@ -269,10 +269,10 @@ private:
         diag(ErrorKind::Banking, "banking factor must be positive", Loc);
         OK = false;
       } else if (D.Size >= 1 && D.Size % D.Banks != 0) {
-        std::ostringstream OS;
-        OS << "banking factor " << D.Banks
-           << " does not evenly divide dimension size " << D.Size;
-        diag(ErrorKind::Banking, OS.str(), Loc);
+        diag(ErrorKind::Banking,
+             concat("banking factor ", D.Banks,
+                    " does not evenly divide dimension size ", D.Size),
+             Loc);
         OK = false;
       }
     }
@@ -322,10 +322,11 @@ private:
     switch (Info.K) {
     case IndexInfo::Literal: {
       if (Info.Value < 0 || Info.Value >= Size) {
-        std::ostringstream OS;
-        OS << "index " << Info.Value << " out of bounds for dimension of size "
-           << Size << " of '" << MemName << "'";
-        diag(ErrorKind::Type, OS.str(), Loc);
+        diag(ErrorKind::Type,
+             concat("index ", Info.Value,
+                    " out of bounds for dimension of size ", Size, " of '",
+                    MemName, "'"),
+             Loc);
         return std::nullopt;
       }
       Set[Info.Value % Banks] = 1;
@@ -341,11 +342,11 @@ private:
         return Set;
       }
       if (S != Banks) {
-        std::ostringstream OS;
-        OS << "insufficient banks: unroll factor " << S
-           << " does not match banking factor " << Banks << " of '" << MemName
-           << "' (use a shrink view for lower unrolling)";
-        diag(ErrorKind::Unroll, OS.str(), Loc);
+        diag(ErrorKind::Unroll,
+             concat("insufficient banks: unroll factor ", S,
+                    " does not match banking factor ", Banks, " of '",
+                    MemName, "' (use a shrink view for lower unrolling)"),
+             Loc);
         return std::nullopt;
       }
       // Lockstep copies touch each bank exactly once, whatever the shared
@@ -577,12 +578,12 @@ private:
       assert(Bank >= 0 && Bank < TotalBanks && "bank id out of range");
       unsigned Want = Count * Need;
       if (V[static_cast<size_t>(Bank)] + Want > Ports) {
-        std::ostringstream OS;
-        OS << "memory '" << RootMem << "' bank " << Bank
-           << " already consumed in this logical time step";
+        std::string Msg =
+            concat("memory '", RootMem, "' bank ", Bank,
+                   " already consumed in this logical time step");
         if (Need > 1)
-          OS << " (access fans out to " << Need << " unrolled copies)";
-        diag(ErrorKind::Affine, OS.str(), Loc);
+          Msg += concat(" (access fans out to ", Need, " unrolled copies)");
+        diag(ErrorKind::Affine, std::move(Msg), Loc);
         return;
       }
     }
@@ -719,11 +720,11 @@ private:
     const Type &MemTy = *B->Ty;
     const std::vector<MemDim> &Dims = MemTy.memDims();
     if (A.indices().size() != Dims.size()) {
-      std::ostringstream OS;
-      OS << "memory '" << A.mem() << "' has " << Dims.size()
-         << " dimension(s) but is accessed with " << A.indices().size()
-         << " index(es)";
-      diag(ErrorKind::Type, OS.str(), A.loc());
+      diag(ErrorKind::Type,
+           concat("memory '", A.mem(), "' has ", Dims.size(),
+                  " dimension(s) but is accessed with ", A.indices().size(),
+                  " index(es)"),
+           A.loc());
       return MemTy.memElem();
     }
     // Type and classify every index.
@@ -796,10 +797,10 @@ private:
       return MemTy.memElem();
     }
     if (*Bank < 0 || *Bank >= MemTy.memTotalBanks()) {
-      std::ostringstream OS;
-      OS << "bank " << *Bank << " out of range for '" << A.mem() << "' with "
-         << MemTy.memTotalBanks() << " bank(s)";
-      diag(ErrorKind::Banking, OS.str(), A.loc());
+      diag(ErrorKind::Banking,
+           concat("bank ", *Bank, " out of range for '", A.mem(), "' with ",
+                  MemTy.memTotalBanks(), " bank(s)"),
+           A.loc());
       return MemTy.memElem();
     }
     std::string Sig = printExpr(A);
@@ -825,10 +826,10 @@ private:
     }
     const FuncDef &F = *It->second;
     if (A.args().size() != F.Params.size()) {
-      std::ostringstream OS;
-      OS << "function '" << A.callee() << "' expects " << F.Params.size()
-         << " argument(s) but got " << A.args().size();
-      diag(ErrorKind::Type, OS.str(), A.loc());
+      diag(ErrorKind::Type,
+           concat("function '", A.callee(), "' expects ", F.Params.size(),
+                  " argument(s) but got ", A.args().size()),
+           A.loc());
     }
     size_t N = std::min(A.args().size(), F.Params.size());
     for (size_t I = 0; I != N; ++I) {
@@ -966,11 +967,11 @@ private:
     const Type &UTy = *UB->Ty;
     const std::vector<MemDim> &UDims = UTy.memDims();
     if (V.params().size() != UDims.size()) {
-      std::ostringstream OS;
-      OS << "view '" << V.name() << "' has " << V.params().size()
-         << " [by ...] parameter(s) but '" << V.mem() << "' has "
-         << UDims.size() << " dimension(s)";
-      diag(ErrorKind::View, OS.str(), V.loc());
+      diag(ErrorKind::View,
+           concat("view '", V.name(), "' has ", V.params().size(),
+                  " [by ...] parameter(s) but '", V.mem(), "' has ",
+                  UDims.size(), " dimension(s)"),
+           V.loc());
       return;
     }
 
@@ -987,10 +988,10 @@ private:
       switch (V.viewKind()) {
       case ViewKind::Shrink: {
         if (P.Factor < 1 || UD.Banks % P.Factor != 0) {
-          std::ostringstream OS;
-          OS << "shrink factor " << P.Factor
-             << " must evenly divide banking factor " << UD.Banks;
-          diag(ErrorKind::View, OS.str(), V.loc());
+          diag(ErrorKind::View,
+               concat("shrink factor ", P.Factor,
+                      " must evenly divide banking factor ", UD.Banks),
+               V.loc());
           OK = false;
           break;
         }
@@ -1021,11 +1022,11 @@ private:
       case ViewKind::Split: {
         if (P.Factor < 1 || UD.Banks % P.Factor != 0 ||
             UD.Size % P.Factor != 0) {
-          std::ostringstream OS;
-          OS << "split factor " << P.Factor
-             << " must evenly divide banking factor " << UD.Banks
-             << " and size " << UD.Size;
-          diag(ErrorKind::View, OS.str(), V.loc());
+          diag(ErrorKind::View,
+               concat("split factor ", P.Factor,
+                      " must evenly divide banking factor ", UD.Banks,
+                      " and size ", UD.Size),
+               V.loc());
           OK = false;
           break;
         }
@@ -1069,10 +1070,11 @@ private:
     if (std::optional<int64_t> C = tryConstFold(Off)) {
       if (*C % Banks == 0)
         return true;
-      std::ostringstream OS;
-      OS << "suffix offset " << *C << " is not a multiple of banking factor "
-         << Banks << "; use a shift view";
-      diag(ErrorKind::View, OS.str(), Loc);
+      diag(ErrorKind::View,
+           concat("suffix offset ", *C,
+                  " is not a multiple of banking factor ", Banks,
+                  "; use a shift view"),
+           Loc);
       return false;
     }
     if (const auto *B = Off.as<BinOpExpr>(); B && B->op() == BinOpKind::Mul) {
@@ -1137,10 +1139,10 @@ private:
       return;
     }
     if (Trip % F.unroll() != 0) {
-      std::ostringstream OS;
-      OS << "unroll factor " << F.unroll()
-         << " must evenly divide the loop trip count " << Trip;
-      diag(ErrorKind::Unroll, OS.str(), F.loc());
+      diag(ErrorKind::Unroll,
+           concat("unroll factor ", F.unroll(),
+                  " must evenly divide the loop trip count ", Trip),
+           F.loc());
       return;
     }
 

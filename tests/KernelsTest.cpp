@@ -12,7 +12,9 @@
 #include "kernels/Kernels.h"
 
 #include "driver/CompilerPipeline.h"
+#include "support/StableHash.h"
 
+#include <cstdio>
 #include <gtest/gtest.h>
 
 using namespace dahlia;
@@ -149,6 +151,38 @@ TEST(Kernels, SpecsAreConsistentWithSources) {
   for (const hlsim::Loop &L : Loops)
     Iters *= L.Trip;
   EXPECT_EQ(Iters, 16LL * 16 * 128 * 8 * 8);
+}
+
+/// Digest of stableHash(source) over every configuration of \p Space: the
+/// verdict memo and the persistent cache key on exactly these hashes.
+template <typename Config, typename SourceFn>
+uint64_t sourceDigest(const std::vector<Config> &Space, SourceFn Source) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const Config &C : Space)
+    H = stableHashCombine(H, stableHash(Source(C)));
+  return H;
+}
+
+// Recorded with the ostringstream renderers; the source bytes must not move.
+TEST(Kernels, SourceDigest) {
+  struct Case {
+    const char *Name;
+    uint64_t Got, Want;
+  } Cases[] = {
+      {"gemm-blocked", sourceDigest(gemmBlockedSpace(), gemmBlockedDahlia),
+       0x706dd4dcd68fa43d},
+      {"stencil2d", sourceDigest(stencil2dSpace(), stencil2dDahlia),
+       0x4edbebc874eccb83},
+      {"md-knn", sourceDigest(mdKnnSpace(), mdKnnDahlia), 0xc56046de3f0038a6},
+      {"md-grid", sourceDigest(mdGridSpace(), mdGridDahlia),
+       0xc95754e9e1e0cad3},
+  };
+  for (const Case &C : Cases) {
+    char Buf[24];
+    std::snprintf(Buf, sizeof(Buf), "0x%016llx",
+                  static_cast<unsigned long long>(C.Got));
+    EXPECT_EQ(C.Got, C.Want) << C.Name << " " << Buf;
+  }
 }
 
 } // namespace

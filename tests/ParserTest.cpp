@@ -8,7 +8,11 @@
 #include "parser/Parser.h"
 
 #include "ast/ASTPrinter.h"
+#include "kernels/Kernels.h"
+#include "lexer/Lexer.h"
+#include "support/StableHash.h"
 
+#include <cstdio>
 #include <gtest/gtest.h>
 
 using namespace dahlia;
@@ -279,6 +283,56 @@ TEST(Parser, NestingJustUnderTheLimitParses) {
   Blocks += "let y = 1;";
   Blocks += std::string(100, '}');
   EXPECT_TRUE(bool(parseCommand(Blocks)));
+}
+
+//===----------------------------------------------------------------------===//
+// Prefix-error digest: every error path of the parser, pinned
+//===----------------------------------------------------------------------===//
+
+/// Digest of parseProgram over every prefix of \p Src that ends at a token
+/// boundary: the error's (kind, message, line, col), or the printed
+/// program when the prefix parses.
+uint64_t prefixErrorDigest(const std::string &Src) {
+  Result<std::vector<Token>> Toks = lex(Src);
+  EXPECT_TRUE(bool(Toks));
+  if (!Toks)
+    return 0;
+  // Columns count bytes, so a location maps back to a byte offset.
+  std::vector<size_t> LineStart = {0};
+  for (size_t I = 0; I != Src.size(); ++I)
+    if (Src[I] == '\n')
+      LineStart.push_back(I + 1);
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Text = [&](std::string_view S) {
+    H = stableHash(S, stableHashCombine(H, S.size()));
+  };
+  for (const Token &T : *Toks) {
+    size_t Off = LineStart[T.Loc.Line - 1] + T.Loc.Col - 1;
+    Result<Program> P = parseProgram(std::string_view(Src).substr(0, Off));
+    H = stableHashCombine(H, P ? 1 : 0);
+    if (P) {
+      Text(printProgram(*P));
+      continue;
+    }
+    H = stableHashCombine(H, static_cast<uint64_t>(P.error().kind()));
+    Text(P.error().message());
+    H = stableHashCombine(H, P.error().loc().Line);
+    H = stableHashCombine(H, P.error().loc().Col);
+  }
+  return H;
+}
+
+// Recorded with the parser that copied each token out of the stream.
+TEST(Parser, PrefixErrorDigest) {
+  using namespace kernels;
+  uint64_t Gemm = prefixErrorDigest(gemmBlockedDahlia(GemmBlockedConfig()));
+  uint64_t Knn = prefixErrorDigest(mdKnnDahlia(MdKnnConfig()));
+  char Buf[48];
+  std::snprintf(Buf, sizeof(Buf), "0x%016llx 0x%016llx",
+                static_cast<unsigned long long>(Gemm),
+                static_cast<unsigned long long>(Knn));
+  EXPECT_EQ(Gemm, 0xae061bd8e231e569u) << Buf;
+  EXPECT_EQ(Knn, 0x01e910d5fb49edaeu) << Buf;
 }
 
 } // namespace

@@ -9,7 +9,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompilerPipeline.h"
+#include "kernels/Kernels.h"
+#include "parser/Parser.h"
+#include "sema/TypeChecker.h"
+#include "support/StableHash.h"
 
+#include <cstdio>
 #include <gtest/gtest.h>
 
 using namespace dahlia;
@@ -596,6 +601,57 @@ TEST(SemaAffine, WhileBodyReadsFanOutAcrossUnrolledCopies) {
                       "  let c = 0;"
                       "  while (c < 1) { let v = A[c]; c := c + 1; }"
                       "}"));
+}
+
+//===----------------------------------------------------------------------===//
+// Diagnostics digest: every message the sweeps produce, pinned
+//===----------------------------------------------------------------------===//
+
+/// Digest of every diagnostic's (kind, message, line, col) over every
+/// configuration of \p Space.
+template <typename Config, typename SourceFn>
+uint64_t diagnosticsDigest(const std::vector<Config> &Space,
+                           SourceFn Source) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const Config &C : Space) {
+    Result<Program> P = parseProgram(Source(C));
+    EXPECT_TRUE(bool(P));
+    if (!P)
+      continue;
+    std::vector<Error> Errs = typeCheck(*P);
+    H = stableHashCombine(H, Errs.size());
+    for (const Error &E : Errs) {
+      H = stableHashCombine(H, static_cast<uint64_t>(E.kind()));
+      H = stableHash(E.message(), stableHashCombine(H, E.message().size()));
+      H = stableHashCombine(H, E.loc().Line);
+      H = stableHashCombine(H, E.loc().Col);
+    }
+  }
+  return H;
+}
+
+// Recorded with the checker that built its messages in ostringstreams.
+TEST(Sema, DiagnosticsDigest) {
+  using namespace kernels;
+  struct Case {
+    const char *Name;
+    uint64_t Got, Want;
+  } Cases[] = {
+      {"gemm-blocked", diagnosticsDigest(gemmBlockedSpace(), gemmBlockedDahlia),
+       0xa7547e7572872ea1},
+      {"stencil2d", diagnosticsDigest(stencil2dSpace(), stencil2dDahlia),
+       0x063ebe55ca1016f9},
+      {"md-knn", diagnosticsDigest(mdKnnSpace(), mdKnnDahlia),
+       0x3bdc0a09abb8ed19},
+      {"md-grid", diagnosticsDigest(mdGridSpace(), mdGridDahlia),
+       0xbae3264c1da44de3},
+  };
+  for (const Case &C : Cases) {
+    char Buf[24];
+    std::snprintf(Buf, sizeof(Buf), "0x%016llx",
+                  static_cast<unsigned long long>(C.Got));
+    EXPECT_EQ(C.Got, C.Want) << C.Name << " " << Buf;
+  }
 }
 
 } // namespace

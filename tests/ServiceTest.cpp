@@ -717,6 +717,50 @@ TEST(Service, ServeStreamSpeaksTheLineProtocol) {
   EXPECT_EQ(Svc.stats().Epochs, 2u);
 }
 
+/// Strict UTF-8 (RFC 3629): no overlong forms, surrogates or code points
+/// past U+10FFFF.
+bool isValidUtf8(std::string_view S) {
+  size_t I = 0;
+  while (I < S.size()) {
+    auto B = static_cast<unsigned char>(S[I]);
+    size_t Len = B < 0x80 ? 1 : B >= 0xc2 && B < 0xe0 ? 2
+                              : B >= 0xe0 && B < 0xf0 ? 3
+                              : B >= 0xf0 && B < 0xf5 ? 4
+                                                      : 0;
+    if (Len == 0 || I + Len > S.size())
+      return false;
+    auto Next = [&](size_t K) { return static_cast<unsigned char>(S[I + K]); };
+    for (size_t K = 1; K != Len; ++K)
+      if ((Next(K) & 0xc0) != 0x80)
+        return false;
+    if ((B == 0xe0 && Next(1) < 0xa0) || (B == 0xed && Next(1) >= 0xa0) ||
+        (B == 0xf0 && Next(1) < 0x90) || (B == 0xf4 && Next(1) >= 0x90))
+      return false;
+    I += Len;
+  }
+  return true;
+}
+
+TEST(Service, LexErrorOnNonAsciiSourceRepliesInUtf8) {
+  CompileService Svc(testOptions());
+  // "é" is two bytes; the lexer stops at the first, 2:5.
+  std::istringstream In(
+      "{\"id\":1,\"op\":\"check\",\"source\":\"decl A: float[4];\\n"
+      "let \xc3\xa9 = 1;\"}\n");
+  std::ostringstream Out;
+  Svc.serveStream(In, Out);
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  ASSERT_TRUE(std::getline(Lines, Line));
+  EXPECT_TRUE(isValidUtf8(Line)) << Line;
+  ClientResponse R = decodeResponse(Line);
+  EXPECT_EQ(R.R.Id, 1);
+  ASSERT_EQ(R.R.Errors.size(), 1u) << Line;
+  EXPECT_EQ(R.R.Errors[0].kind(), ErrorKind::Lex);
+  EXPECT_EQ(R.R.Errors[0].loc(), SourceLoc(2, 5));
+  EXPECT_EQ(R.R.Errors[0].message(), "unexpected character '\\xc3'");
+}
+
 TEST(Client, SurfacesServerMessageOnMalformedResponses) {
   // Not JSON at all: the snippet rides along instead of a bare
   // "unparseable".
