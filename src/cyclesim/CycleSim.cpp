@@ -163,7 +163,7 @@ SimResult dahlia::cyclesim::simulate(const KernelSpec &K) {
   // KernelAnalysis.h) — without it the Full rung could overtake Exact on
   // noisy points.
   if (!(RK.UnrollDividesBanking && bankingDividesSizes(K)))
-    Cycles *= heuristicLatencyMultiplier(K);
+    Cycles *= heuristicLatencyMultiplier(heuristicConfigHash(K));
 
   // Conflict-period walk accounting: how many iteration groups the
   // simulator actually executed (vs. the analytic scan's fixed samples).

@@ -37,7 +37,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
   // about a spec outlives the call but the buffers' capacity.
   thread_local ResolvedKernel R;
   thread_local NestInstances Instances;
-  thread_local std::vector<int64_t> BankFanIn, Reach;
+  thread_local std::vector<int64_t> BankFanIn, Strides, Reach;
   resolve(K, R);
   BankFanIn.assign(NeedInstances ? static_cast<size_t>(R.TotalBanks) : 0, 0);
 
@@ -65,8 +65,9 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
         const ResolvedAccess &A = RN.Body[AI];
         const ResolvedArray &Arr = R.Arrays[A.Array];
         const NestInstances::Span &S = Instances.Accesses[AI];
+        reachStrides(R, RN, A, Strides);
         for (size_t Row = 0; Row != S.Rows; ++Row) {
-          reachableBanks(R, RN, A,
+          reachableBanks(R, A, Strides.data(),
                          Instances.Residues.data() + S.FirstRes +
                              Row * Arr.Rank,
                          Reach);
@@ -194,7 +195,7 @@ Estimate dahlia::hlsim::estimate(const KernelSpec &K, const CostModel &CM) {
     double U1 = stableHashUnit(H);
     double U3 = stableHashUnit(stableHashCombine(H, 0xc2b2ae3d27d4eb4fULL));
     Lut *= 1.0 + model::NoiseAmplitudeArea * U1;
-    Cycles *= heuristicLatencyMultiplier(K);
+    Cycles *= heuristicLatencyMultiplier(H);
     // Severe violations (bank indirection from mismatched unrolling) can
     // mis-synthesize, as observed in Fig. 4b.
     if (!RuleUnroll && U3 < model::MisSynthesisRate)

@@ -39,12 +39,19 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace dahlia::hlsim {
 
-inline int64_t floorMod(int64_t A, int64_t B) { return ((A % B) + B) % B; }
+/// \p A modulo \p B rounded toward negative infinity, for a positive
+/// divisor (partition factors are at least 1).
+inline int64_t floorMod(int64_t A, int64_t B) {
+  assert(B > 0 && "floorMod needs a positive divisor");
+  const int64_t R = A % B;
+  return R < 0 ? R + B : R;
+}
 
 /// Unrolled copies (processing elements) enumerated per nest; larger
 /// unroll products are truncated to the lexicographically first copies.
@@ -53,6 +60,12 @@ inline constexpr size_t kMaxPes = 2048;
 /// Banks a spec may declare across all its arrays: the resolved form
 /// counts bank pressure in one dense buffer of this many entries at most.
 inline constexpr int64_t kMaxTotalBanks = int64_t(1) << 20;
+
+/// Bits of a copy index in a packed (flat bank, copy) instance key.
+inline constexpr unsigned kPeBits = 11;
+static_assert(size_t(1) << kPeBits == kMaxPes, "a copy index fills kPeBits");
+static_assert(uint64_t(kMaxTotalBanks) << kPeBits <= uint64_t(1) << 32,
+              "a packed instance key fits 32 bits");
 
 /// The saturating product of \p Factors (values <= 1 count as 1),
 /// clipped to \p Cap + 1 so "more than Cap" stays detectable.
@@ -117,10 +130,20 @@ struct ResolvedKernel {
   /// Per-bank request counts of one arbitrated group: TotalBanks entries,
   /// all zero between \c arbitrateGroup calls.
   std::vector<int64_t> BankPressure;
-  /// Scratch of \c arbitrateGroup: the touched banks with their port
-  /// counts, and one access's sequential offsets per dimension.
+  /// Scratch of \c arbitrateGroup and \c sampledConflictII: the touched
+  /// banks with their port counts, the sequential residues of every
+  /// access row, and the sampled scan's state (see there): loop groups,
+  /// steps and wraps, and the residues of the samples kept so far.
   std::vector<std::pair<uint32_t, unsigned>> Touched;
-  std::vector<int64_t> SeqMod;
+  std::vector<int64_t> SeqMod, Iter, Groups, Step, Seen;
+  std::vector<uint8_t> Wrapped;
+  /// A row's residue moves when loop \c Loop steps: by \c Move[0], or by
+  /// \c Move[1] when the loop wraps, modulo \c Part.
+  struct ScanTerm {
+    size_t Row, Loop;
+    int64_t Part, Move[2];
+  };
+  std::vector<ScanTerm> Terms;
 };
 
 /// Resolves \p K into \p R, reusing \p R's storage. Accesses to arrays the
@@ -194,29 +217,6 @@ inline void resolve(const KernelSpec &K, ResolvedKernel &R) {
   }
 }
 
-/// Enumerates the unrolled copies of a nest whose loops unroll by
-/// \p Unroll (positions with factor <= 1 stay at offset 0): writes one
-/// row of offsets per copy to \p Pes, lexicographically ordered with the
-/// innermost loop fastest, and keeps only the first \c kMaxPes copies.
-/// Returns the number of rows.
-inline size_t enumeratePes(const std::vector<int64_t> &Unroll,
-                           std::vector<int64_t> &Pes) {
-  const size_t NL = Unroll.size();
-  const size_t Count = static_cast<size_t>(
-      std::min<int64_t>(cappedProduct(Unroll, kMaxPes), kMaxPes));
-  Pes.assign(Count * NL, 0);
-  for (size_t P = 1; P != Count; ++P) {
-    int64_t *Cur = Pes.data() + P * NL;
-    std::copy_n(Cur - NL, NL, Cur);
-    for (size_t L = NL; L-- > 0;) { // Odometer step.
-      if (Unroll[L] > 1 && ++Cur[L] < Unroll[L])
-        break;
-      Cur[L] = 0;
-    }
-  }
-  return Count;
-}
-
 /// The hardware instances of one nest's accesses. An instance is one
 /// distinct per-dimension constant offset after resolving the unrolled
 /// copies: copies whose index expressions do not mention an unrolled
@@ -235,19 +235,24 @@ struct NestInstances {
   std::vector<int64_t> Residues; ///< Per row, one residue per dimension.
   std::vector<int64_t> Mult;     ///< Instances sharing each row.
 
-  // Scratch: one access's unroll mask, copies, and per-copy offsets
-  // with their (flattened residue, copy) sort keys.
-  std::vector<int64_t> Unroll, Pes, Keys;
-  std::vector<std::pair<int64_t, uint32_t>> Order;
+  // Scratch: one access's enumerated loops, one digit's offset and
+  // residue shifts, its per-copy offsets and residues, and the packed
+  // (flat bank, copy) sort keys.
+  std::vector<size_t> Active;
+  std::vector<int64_t> Shift, Offsets, Res;
+  std::vector<uint32_t> Order;
 };
 
-/// Collects the instances of every access of \p N into \p Out.
+/// Collects the instances of every access of \p N into \p Out: per access,
+/// one row per reached bank in ascending flat-bank order, with the number
+/// of distinct offsets that land in it.
 inline void accessInstances(const ResolvedKernel &R, const ResolvedNest &N,
                             NestInstances &Out) {
   const size_t NL = N.loops();
   // Below the PE cap every copy is enumerated, so an access's distinct
   // offsets are those of the product over the loops it mentions alone;
-  // above it, the kept copies are a prefix and all loops must be walked.
+  // above it, the kept copies are the lexicographic prefix over all
+  // unrolled loops, innermost fastest.
   const bool Truncated =
       cappedProduct(N.Unroll, kMaxPes) > static_cast<int64_t>(kMaxPes);
   Out.Accesses.clear();
@@ -257,84 +262,148 @@ inline void accessInstances(const ResolvedKernel &R, const ResolvedNest &N,
     const ResolvedArray &Arr = R.Arrays[A.Array];
     const int64_t *Part = R.Partition.data() + Arr.FirstDim;
     const size_t W = Arr.Rank;
-    Out.Unroll.assign(N.Unroll.begin(), N.Unroll.end());
-    if (!Truncated)
-      for (size_t L = 0; L != NL; ++L) {
-        bool Mentioned = false;
-        for (size_t D = 0; D != W; ++D)
-          Mentioned |= N.row(A.FirstRow + D)[L] != 0;
-        if (!Mentioned)
-          Out.Unroll[L] = 1;
-      }
-    const size_t NPes = enumeratePes(Out.Unroll, Out.Pes);
+    auto Coeff = [&N, &A](size_t D, size_t L) {
+      return N.row(A.FirstRow + D)[L];
+    };
+    Out.Active.clear();
+    int64_t Copies = 1;
+    for (size_t L = 0; L != NL; ++L) {
+      if (N.Unroll[L] <= 1)
+        continue;
+      bool Mentioned = Truncated;
+      for (size_t D = 0; D != W && !Mentioned; ++D)
+        Mentioned = Coeff(D, L) != 0;
+      if (!Mentioned)
+        continue;
+      Out.Active.push_back(L);
+      Copies = Copies > static_cast<int64_t>(kMaxPes) / N.Unroll[L]
+                   ? static_cast<int64_t>(kMaxPes)
+                   : Copies * N.Unroll[L];
+    }
+    const size_t NPes = static_cast<size_t>(Copies);
 
-    // Each copy's offsets, keyed by the bank they resolve to.
-    Out.Keys.resize(NPes * W);
+    // Distinct copies reach distinct offsets when every enumerated loop
+    // owns a dimension no other enumerated loop moves: that dimension's
+    // offset then pins the loop's copy index. Each bank's instance count
+    // is then its copy count, with no offsets to compare.
+    bool Injective = !Truncated;
+    for (size_t X : Out.Active) {
+      bool Owns = false;
+      for (size_t D = 0; D != W && !Owns; ++D) {
+        Owns = Coeff(D, X) != 0;
+        for (size_t Y : Out.Active)
+          Owns &= Y == X || Coeff(D, Y) == 0;
+      }
+      Injective &= Owns;
+    }
+
+    // Each copy's offsets and residues, in odometer order over the
+    // enumerated loops (innermost fastest): built innermost loop first,
+    // each further digit of a loop repeating the copies so far shifted by
+    // its step, so a truncated nest's kept prefix is built directly and
+    // no copy divides.
+    Out.Offsets.resize(NPes * W);
+    Out.Res.resize(NPes * W);
+    Out.Shift.resize(2 * W);
+    for (size_t D = 0; D != W; ++D) {
+      Out.Offsets[D] = N.Consts[A.FirstRow + D];
+      Out.Res[D] = floorMod(Out.Offsets[D], Part[D]);
+    }
+    size_t Size = 1;
+    for (size_t I = Out.Active.size(); I-- > 0 && Size != NPes;) {
+      const size_t L = Out.Active[I], Block = Size;
+      for (int64_t V = 1; V != N.Unroll[L] && Size != NPes; ++V) {
+        int64_t *OffShift = Out.Shift.data(), *ResShift = OffShift + W;
+        for (size_t D = 0; D != W; ++D) {
+          OffShift[D] = Coeff(D, L) * V;
+          ResShift[D] = floorMod(OffShift[D], Part[D]);
+        }
+        const size_t Copies = std::min(Block, NPes - Size);
+        int64_t *ToOff = Out.Offsets.data() + Size * W;
+        int64_t *ToRes = Out.Res.data() + Size * W;
+        for (size_t E = 0; E != Copies * W; E += W)
+          for (size_t D = 0; D != W; ++D) {
+            ToOff[E + D] = Out.Offsets[E + D] + OffShift[D];
+            const int64_t Res = Out.Res[E + D] + ResShift[D];
+            ToRes[E + D] = Res >= Part[D] ? Res - Part[D] : Res;
+          }
+        Size += Copies;
+      }
+    }
+    // Each copy's key: the flat bank it resolves to, above its index.
     Out.Order.resize(NPes);
     for (size_t P = 0; P != NPes; ++P) {
-      const int64_t *Pe = Out.Pes.data() + P * NL;
-      int64_t *Key = Out.Keys.data() + P * W;
+      const int64_t *Res = Out.Res.data() + P * W;
       int64_t Flat = 0;
-      for (size_t D = 0; D != W; ++D) {
-        const int64_t *Row = N.row(A.FirstRow + D);
-        Key[D] = N.Consts[A.FirstRow + D];
-        for (size_t L = 0; L != NL; ++L)
-          Key[D] += Row[L] * Pe[L];
-        Flat = Flat * Part[D] + floorMod(Key[D], Part[D]);
-      }
-      Out.Order[P] = {Flat, static_cast<uint32_t>(P)};
+      for (size_t D = 0; D != W; ++D)
+        Flat = Flat * Part[D] + Res[D];
+      Out.Order[P] = static_cast<uint32_t>(Flat) << kPeBits |
+                     static_cast<uint32_t>(P);
     }
-    // Sorted by bank, then by offsets: equal offsets (one instance) end
-    // up adjacent, and so do the instances sharing a bank.
-    auto Offsets = [&Out, W](uint32_t P) { return Out.Keys.data() + P * W; };
-    std::sort(Out.Order.begin(), Out.Order.end(),
-              [&](const auto &X, const auto &Y) {
-                if (X.first != Y.first)
-                  return X.first < Y.first;
-                return std::lexicographical_compare(
-                    Offsets(X.second), Offsets(X.second) + W,
-                    Offsets(Y.second), Offsets(Y.second) + W);
-              });
+    std::sort(Out.Order.begin(), Out.Order.end());
 
     NestInstances::Span S;
     S.FirstRow = Out.Mult.size();
     S.FirstRes = Out.Residues.size();
-    for (size_t I = 0; I != NPes; ++I) {
-      const auto &[Flat, P] = Out.Order[I];
-      if (I == 0 || Flat != Out.Order[I - 1].first) {
-        for (size_t D = 0; D != W; ++D)
-          Out.Residues.push_back(floorMod(Offsets(P)[D], Part[D]));
-        Out.Mult.push_back(1);
-        ++S.Rows;
-      } else if (!std::equal(Offsets(P), Offsets(P) + W,
-                             Offsets(Out.Order[I - 1].second))) {
-        ++Out.Mult.back();
+    auto Offsets = [&Out, W](uint32_t Key) {
+      return Out.Offsets.data() + (Key & (kMaxPes - 1)) * W;
+    };
+    auto Residues = [&Out, W](uint32_t Key) {
+      return Out.Res.data() + (Key & (kMaxPes - 1)) * W;
+    };
+    for (auto Bucket = Out.Order.begin(); Bucket != Out.Order.end();) {
+      const uint32_t Flat = *Bucket >> kPeBits;
+      auto End = std::find_if(Bucket, Out.Order.end(), [Flat](uint32_t Key) {
+        return Key >> kPeBits != Flat;
+      });
+      int64_t Mult = End - Bucket;
+      if (!Injective && Mult > 1) {
+        // Equal offsets end up adjacent; count the distinct ones.
+        std::sort(Bucket, End, [&](uint32_t X, uint32_t Y) {
+          return std::lexicographical_compare(Offsets(X), Offsets(X) + W,
+                                              Offsets(Y), Offsets(Y) + W);
+        });
+        Mult = 1;
+        for (auto It = Bucket + 1; It != End; ++It)
+          Mult += !std::equal(Offsets(*It), Offsets(*It) + W,
+                              Offsets(*(It - 1)));
       }
+      Out.Residues.insert(Out.Residues.end(), Residues(*Bucket),
+                          Residues(*Bucket) + W);
+      Out.Mult.push_back(Mult);
+      ++S.Rows;
+      Bucket = End;
     }
     Out.Accesses.push_back(S);
   }
 }
 
-/// The residue stride with which dimension \p D of access \p A moves
-/// across its nest's sequential iterations: the gcd of the partition
-/// factor with every stride a loop that iterates more than once per group
-/// contributes (the partition itself when none does).
-inline int64_t reachStride(const ResolvedKernel &R, const ResolvedNest &N,
-                           const ResolvedAccess &A, size_t D) {
-  const int64_t P = R.Partition[R.Arrays[A.Array].FirstDim + D];
-  const int64_t *Row = N.row(A.FirstRow + D);
-  int64_t G = 0;
-  for (size_t L = 0; L != N.loops(); ++L)
-    if (Row[L] != 0 && N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1) > 1)
-      G = std::gcd(G, std::abs(Row[L]) * N.Unroll[L]);
-  return G == 0 ? P : std::gcd(G, P);
+/// The residue strides with which the dimensions of access \p A move
+/// across its nest's sequential iterations, one per dimension into
+/// \p Out: the gcd of the partition factor with every stride a loop that
+/// iterates more than once per group contributes (the partition itself
+/// when none does).
+inline void reachStrides(const ResolvedKernel &R, const ResolvedNest &N,
+                         const ResolvedAccess &A, std::vector<int64_t> &Out) {
+  const ResolvedArray &Arr = R.Arrays[A.Array];
+  Out.resize(Arr.Rank);
+  for (size_t D = 0; D != Arr.Rank; ++D) {
+    const int64_t P = R.Partition[Arr.FirstDim + D];
+    const int64_t *Row = N.row(A.FirstRow + D);
+    int64_t G = 0;
+    for (size_t L = 0; L != N.loops(); ++L)
+      if (Row[L] != 0 && N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1) > 1)
+        G = std::gcd(G, std::abs(Row[L]) * N.Unroll[L]);
+    Out[D] = G == 0 ? P : std::gcd(G, P);
+  }
 }
 
 /// The flattened banks an instance with per-dimension residues \p Res of
 /// access \p A can reach: per dimension the residues (Res + m*g) mod P for
-/// g = reachStride, combined row-major across dimensions.
-inline void reachableBanks(const ResolvedKernel &R, const ResolvedNest &N,
-                           const ResolvedAccess &A, const int64_t *Res,
+/// g = \p Stride (from \c reachStrides), combined row-major across
+/// dimensions.
+inline void reachableBanks(const ResolvedKernel &R, const ResolvedAccess &A,
+                           const int64_t *Stride, const int64_t *Res,
                            std::vector<int64_t> &Out) {
   const ResolvedArray &Arr = R.Arrays[A.Array];
   Out.assign(1, 0);
@@ -345,7 +414,7 @@ inline void reachableBanks(const ResolvedKernel &R, const ResolvedNest &N,
         F *= P;
       continue;
     }
-    const int64_t G = reachStride(R, N, A, D);
+    const int64_t G = Stride[D];
     const int64_t First = Res[D] % G;
     const size_t Per = static_cast<size_t>(P / G);
     const size_t Prev = Out.size();
@@ -358,40 +427,26 @@ inline void reachableBanks(const ResolvedKernel &R, const ResolvedNest &N,
   }
 }
 
-/// Per-bank arbitration of one lockstep-issued group of nest \p N at the
-/// sequential iteration point \p Iter (one group index per loop of the
-/// nest): returns the cycles the worst bank needs to serve the group's
-/// requests (>= 1) and raises \p MaxPressure to the worst raw request
-/// count.
-///
-/// This is THE schedule primitive of the fidelity ladder: the analytic
-/// estimator evaluates it at a sampled spread of points, the cycle-level
-/// simulator at every group of the conflict period — sharing one
-/// implementation is what makes "sampled max <= exhaustive max" (and so
-/// Full <= Exact) a structural property rather than a testing hope.
-inline double arbitrateGroup(ResolvedKernel &R, const ResolvedNest &N,
-                             const NestInstances &I, const int64_t *Iter,
-                             int64_t &MaxPressure) {
+/// The arbitration of one group of nest \p N whose access rows (one per
+/// access dimension, in \c ResolvedNest::Consts order) sit at sequential
+/// offsets \p SeqMod modulo their partition factors: see
+/// \c arbitrateGroup.
+inline double arbitrateResidues(ResolvedKernel &R, const ResolvedNest &N,
+                                const NestInstances &I, const int64_t *SeqMod,
+                                int64_t &MaxPressure) {
   R.Touched.clear();
   for (size_t AI = 0; AI != N.Body.size(); ++AI) {
     const ResolvedAccess &A = N.Body[AI];
     const ResolvedArray &Arr = R.Arrays[A.Array];
     const int64_t *Part = R.Partition.data() + Arr.FirstDim;
     // The sequential offset is shared by every instance this cycle.
-    R.SeqMod.resize(Arr.Rank);
-    for (size_t D = 0; D != Arr.Rank; ++D) {
-      const int64_t *Row = N.row(A.FirstRow + D);
-      int64_t Seq = 0;
-      for (size_t L = 0; L != N.loops(); ++L)
-        Seq += Row[L] * N.Unroll[L] * Iter[L];
-      R.SeqMod[D] = floorMod(Seq, Part[D]);
-    }
+    const int64_t *Seq = SeqMod + A.FirstRow;
     const NestInstances::Span &S = I.Accesses[AI];
     const int64_t *Res = I.Residues.data() + S.FirstRes;
     for (size_t Row = 0; Row != S.Rows; ++Row, Res += Arr.Rank) {
       int64_t Flat = 0;
       for (size_t D = 0; D != Arr.Rank; ++D) {
-        int64_t B = Res[D] + R.SeqMod[D];
+        int64_t B = Res[D] + Seq[D];
         if (B >= Part[D])
           B -= Part[D];
         Flat = Flat * Part[D] + B;
@@ -412,23 +467,110 @@ inline double arbitrateGroup(ResolvedKernel &R, const ResolvedNest &N,
   return Needed;
 }
 
+/// Per-bank arbitration of one lockstep-issued group of nest \p N at the
+/// sequential iteration point \p Iter (one group index per loop of the
+/// nest): returns the cycles the worst bank needs to serve the group's
+/// requests (>= 1) and raises \p MaxPressure to the worst raw request
+/// count.
+///
+/// This is THE schedule primitive of the fidelity ladder: the analytic
+/// estimator evaluates it at a sampled spread of points, the cycle-level
+/// simulator at every group of the conflict period — sharing one
+/// implementation is what makes "sampled max <= exhaustive max" (and so
+/// Full <= Exact) a structural property rather than a testing hope.
+inline double arbitrateGroup(ResolvedKernel &R, const ResolvedNest &N,
+                             const NestInstances &I, const int64_t *Iter,
+                             int64_t &MaxPressure) {
+  R.SeqMod.resize(N.Consts.size());
+  for (const ResolvedAccess &A : N.Body) {
+    const ResolvedArray &Arr = R.Arrays[A.Array];
+    for (size_t D = 0; D != Arr.Rank; ++D) {
+      const int64_t *Row = N.row(A.FirstRow + D);
+      int64_t Seq = 0;
+      for (size_t L = 0; L != N.loops(); ++L)
+        Seq += Row[L] * N.Unroll[L] * Iter[L];
+      R.SeqMod[A.FirstRow + D] = floorMod(Seq, R.Partition[Arr.FirstDim + D]);
+    }
+  }
+  return arbitrateResidues(R, N, I, R.SeqMod.data(), MaxPressure);
+}
+
 /// The sampled port-conflict initiation interval of nest \p N: a
 /// deterministic spread of \p Samples real schedule points (a prefix in
 /// the sample count, so the result is monotone in \p Samples — the
-/// ladder's Coarse/Medium/Full ordering relies on this).
+/// ladder's Coarse/Medium/Full ordering relies on this). Sample s visits
+/// group (s * (2L + 1)) mod Groups of loop L and is worth exactly what
+/// \c arbitrateGroup returns at that point.
 inline double sampledConflictII(ResolvedKernel &R, const ResolvedNest &N,
                                 const NestInstances &I, int Samples) {
+  const size_t NL = N.loops(), Rows = N.Consts.size();
+  // A shift common to every access of one array permutes that array's
+  // banks, which leaves the multiset of its request counts, and so the
+  // arbitration, unchanged. The scan therefore tracks each row's residue
+  // relative to the same dimension of the array's first access in the
+  // body; a repeat of an earlier sample's relative residues cannot raise
+  // the max. Sample 0 is group 0 of every loop, where every residue is
+  // 0. Each later sample steps loop L by Step groups, or by Step - Groups
+  // when it wraps, and either move shifts a relative residue by a
+  // constant: the scan keeps one term per row and moving loop, and steps
+  // the residues without dividing.
+  R.Iter.assign(NL, 0);
+  R.Groups.resize(NL);
+  R.Step.resize(NL);
+  R.Wrapped.resize(NL);
+  for (size_t L = 0; L != NL; ++L) {
+    // A loop with no full group stays at group 0.
+    R.Groups[L] = std::max<int64_t>(
+        N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1), 1);
+    R.Step[L] = static_cast<int64_t>(2 * L + 1) % R.Groups[L];
+  }
+  R.Terms.clear();
+  for (const ResolvedAccess &A : N.Body) {
+    const ResolvedAccess &First = *std::find_if(
+        N.Body.begin(), N.Body.end(),
+        [&A](const ResolvedAccess &B) { return B.Array == A.Array; });
+    for (size_t D = 0; D != R.Arrays[A.Array].Rank; ++D) {
+      const size_t Row = A.FirstRow + D;
+      const int64_t P = R.Partition[R.Arrays[A.Array].FirstDim + D];
+      for (size_t L = 0; L != NL; ++L) {
+        const int64_t Stride =
+            (N.row(Row)[L] - N.row(First.FirstRow + D)[L]) * N.Unroll[L];
+        if (Stride != 0 && R.Step[L] != 0 && P > 1)
+          R.Terms.push_back(
+              {Row, L, P,
+               {floorMod(Stride * R.Step[L], P),
+                floorMod(Stride * (R.Step[L] - R.Groups[L]), P)}});
+      }
+    }
+  }
+
   double II = 1.0;
   int64_t Ignored = 1;
-  std::vector<int64_t> Iter(N.loops());
-  for (int Sample = 0; Sample != Samples; ++Sample) {
-    int Stride = 1;
-    for (size_t L = 0; L != N.loops(); ++L) {
-      int64_t Groups = N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1);
-      Iter[L] = Groups > 0 ? (Sample * Stride) % Groups : 0;
-      Stride += 2;
+  R.SeqMod.assign(Rows, 0);
+  R.Seen.clear();
+  for (int Sample = 0; Sample < Samples; ++Sample) {
+    if (Sample != 0) {
+      for (size_t L = 0; L != NL; ++L) {
+        R.Iter[L] += R.Step[L];
+        R.Wrapped[L] = R.Iter[L] >= R.Groups[L];
+        if (R.Wrapped[L])
+          R.Iter[L] -= R.Groups[L];
+      }
+      for (const ResolvedKernel::ScanTerm &T : R.Terms) {
+        int64_t &Res = R.SeqMod[T.Row];
+        Res += T.Move[R.Wrapped[T.Loop]];
+        if (Res >= T.Part)
+          Res -= T.Part;
+      }
     }
-    II = std::max(II, arbitrateGroup(R, N, I, Iter.data(), Ignored));
+    bool Repeat = false;
+    for (size_t Prev = 0; Prev != R.Seen.size() && !Repeat; Prev += Rows)
+      Repeat = std::equal(R.SeqMod.begin(), R.SeqMod.end(),
+                          R.Seen.data() + Prev);
+    if (Repeat)
+      continue;
+    R.Seen.insert(R.Seen.end(), R.SeqMod.begin(), R.SeqMod.end());
+    II = std::max(II, arbitrateResidues(R, N, I, R.SeqMod.data(), Ignored));
   }
   return II;
 }
@@ -473,43 +615,47 @@ inline bool bankingDividesSizes(const KernelSpec &K) {
 /// Deterministic per-configuration hash used for heuristic noise. The
 /// hashed text is unchanged for single-nest, for-only specs, so
 /// pre-multi-nest noise draws (and the Figure 7 baselines built on them)
-/// are preserved.
+/// are preserved. FNV-1a streams, so the text is hashed piece by piece
+/// and never built.
 inline uint64_t heuristicConfigHash(const KernelSpec &K) {
-  std::string S = K.Name;
-  auto Num = [&S](int64_t V) {
+  uint64_t H = stableHash(K.Name);
+  auto Text = [&H](std::string_view S) { H = stableHash(S, H); };
+  auto Num = [&Text](int64_t V) {
     char Buf[24];
-    S.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+    Text({Buf, static_cast<size_t>(
+                   std::to_chars(Buf, Buf + sizeof(Buf), V).ptr - Buf)});
   };
   for (const LoopNest &N : K.Nests)
     for (const Loop &L : N.Loops) {
-      S += '|';
-      S += L.Var;
-      S += ':';
+      Text("|");
+      Text(L.Var);
+      Text(":");
       Num(L.Trip);
-      S += ':';
+      Text(":");
       Num(L.Unroll);
       if (L.IsWhile)
-        S += 'w';
+        Text("w");
     }
   for (const ArraySpec &A : K.Arrays) {
-    S += '|';
-    S += A.Name;
+    Text("|");
+    Text(A.Name);
     for (size_t D = 0; D != A.DimSizes.size(); ++D) {
-      S += ':';
+      Text(":");
       Num(A.DimSizes[D]);
-      S += 'p';
+      Text("p");
       Num(A.Partition[D]);
     }
   }
-  return stableHash(S);
+  return H;
 }
 
 /// The deterministic latency perturbation (>= 1) applied to
 /// rule-violating configurations — the same draw at every fidelity,
-/// simulator included, so noise never inverts the ladder.
-inline double heuristicLatencyMultiplier(const KernelSpec &K) {
-  uint64_t H = heuristicConfigHash(K);
-  double U2 = stableHashUnit(stableHashCombine(H, 0x9e3779b97f4a7c15ULL));
+/// simulator included, so noise never inverts the ladder. \p ConfigHash
+/// is the spec's \c heuristicConfigHash.
+inline double heuristicLatencyMultiplier(uint64_t ConfigHash) {
+  double U2 =
+      stableHashUnit(stableHashCombine(ConfigHash, 0x9e3779b97f4a7c15ULL));
   return 1.0 + model::NoiseAmplitudeLatency * U2;
 }
 

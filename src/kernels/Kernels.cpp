@@ -10,9 +10,27 @@
 #include "support/StringUtils.h"
 
 #include <memory>
+#include <utility>
 
 using namespace dahlia::kernels;
 using namespace dahlia::hlsim;
+
+namespace {
+
+/// Appends an access to \p N with its index expressions moved into place.
+/// Building a spec from initializer lists copies every element, and each
+/// AffineExpr copy reallocates its coefficient map: the space builders
+/// run once per configuration, so they construct in place instead.
+template <typename... Exprs>
+void addAccess(LoopNest &N, const char *Array, bool IsWrite, Exprs &&...Idx) {
+  Access &A = N.Body.emplace_back();
+  A.Array = Array;
+  A.IsWrite = IsWrite;
+  A.Idx.reserve(sizeof...(Idx));
+  (A.Idx.push_back(std::forward<Exprs>(Idx)), ...);
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Figure 2 / Figure 4: 512x512 dense matrix multiply
@@ -108,11 +126,10 @@ KernelSpec dahlia::kernels::gemmBlockedSpec(const GemmBlockedConfig &C) {
   Nest.MulOps = 1;
   Nest.AddOps = 2;
   Nest.HasAccumulator = true;
-  K.Arrays = {
-      {"m1", {128, 128}, {C.Bank11, C.Bank12}, 1, 32},
-      {"m2", {128, 128}, {C.Bank11, C.Bank12}, 1, 32},
-      {"prod", {128, 128}, {C.Bank21, C.Bank22}, 1, 32},
-  };
+  K.Arrays.reserve(3);
+  K.Arrays.push_back({"m1", {128, 128}, {C.Bank11, C.Bank12}, 1, 32});
+  K.Arrays.push_back({"m2", {128, 128}, {C.Bank11, C.Bank12}, 1, 32});
+  K.Arrays.push_back({"prod", {128, 128}, {C.Bank21, C.Bank22}, 1, 32});
   Nest.Loops = {
       {"jj", 16, 1},          {"kk", 16, 1},
       {"i", 128, C.Unroll1},  {"j", 8, C.Unroll2},
@@ -122,12 +139,11 @@ KernelSpec dahlia::kernels::gemmBlockedSpec(const GemmBlockedConfig &C) {
   KkK.Coeffs["k"] = 1;
   AffineExpr JjJ = AffineExpr::var("jj", 8);
   JjJ.Coeffs["j"] = 1;
-  Nest.Body = {
-      {"m1", {AffineExpr::var("i"), KkK}, false},
-      {"m2", {KkK, JjJ}, false},
-      {"prod", {AffineExpr::var("i"), JjJ}, false},
-      {"prod", {AffineExpr::var("i"), JjJ}, true},
-  };
+  Nest.Body.reserve(4);
+  addAccess(Nest, "m1", false, AffineExpr::var("i"), KkK);
+  addAccess(Nest, "m2", false, std::move(KkK), JjJ);
+  addAccess(Nest, "prod", false, AffineExpr::var("i"), JjJ);
+  addAccess(Nest, "prod", true, AffineExpr::var("i"), std::move(JjJ));
   return K;
 }
 
@@ -185,11 +201,11 @@ KernelSpec dahlia::kernels::stencil2dSpec(const Stencil2dConfig &C) {
   Nest.MulOps = 1;
   Nest.AddOps = 1;
   Nest.HasAccumulator = true;
-  K.Arrays = {
-      {"orig", {120, 60}, {C.OrigBank1, C.OrigBank2}, 1, 32},
-      {"sol", {120, 60}, {1, 1}, 1, 32},
-      {"filter", {3, 3}, {C.FilterBank1, C.FilterBank2}, 1, 32},
-  };
+  K.Arrays.reserve(3);
+  K.Arrays.push_back({"orig", {120, 60}, {C.OrigBank1, C.OrigBank2}, 1, 32});
+  K.Arrays.push_back({"sol", {120, 60}, {1, 1}, 1, 32});
+  K.Arrays.push_back(
+      {"filter", {3, 3}, {C.FilterBank1, C.FilterBank2}, 1, 32});
   Nest.Loops = {
       {"r", 118, 1},
       {"c", 58, 1},
@@ -200,11 +216,11 @@ KernelSpec dahlia::kernels::stencil2dSpec(const Stencil2dConfig &C) {
   RK1.Coeffs["k1"] = 1;
   AffineExpr CK2 = AffineExpr::var("c");
   CK2.Coeffs["k2"] = 1;
-  Nest.Body = {
-      {"filter", {AffineExpr::var("k1"), AffineExpr::var("k2")}, false},
-      {"orig", {RK1, CK2}, false},
-      {"sol", {AffineExpr::var("r"), AffineExpr::var("c")}, true},
-  };
+  Nest.Body.reserve(3);
+  addAccess(Nest, "filter", false, AffineExpr::var("k1"),
+            AffineExpr::var("k2"));
+  addAccess(Nest, "orig", false, std::move(RK1), std::move(CK2));
+  addAccess(Nest, "sol", true, AffineExpr::var("r"), AffineExpr::var("c"));
   return K;
 }
 
@@ -284,19 +300,19 @@ KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
       {"i0", 256, 1},
       {"j0", 16, 1},
   };
-  Gather.Body = {
-      {"nl", {AffineExpr::var("i0"), AffineExpr::var("j0")}, false},
-      {"nlpos", {AffineExpr::var("i0"), AffineExpr::var("j0")}, true},
-  };
+  Gather.Body.reserve(2);
+  addAccess(Gather, "nl", false, AffineExpr::var("i0"),
+            AffineExpr::var("j0"));
+  addAccess(Gather, "nlpos", true, AffineExpr::var("i0"),
+            AffineExpr::var("j0"));
   // Filling the pos_stage staging copy is the serial phase the
   // restructure adds; it stays outside the nests.
   K.ExtraSerialCycles = 256.0;
-  K.Arrays = {
-      {"position", {256}, {C.BankPos}, 1, 32},
-      {"nlpos", {256, 16}, {C.UnrollI, C.BankNlPos}, 1, 32},
-      {"nl", {256, 16}, {C.BankNl, 1}, 1, 32},
-      {"force", {256}, {C.BankForce}, 1, 32},
-  };
+  K.Arrays.reserve(4);
+  K.Arrays.push_back({"position", {256}, {C.BankPos}, 1, 32});
+  K.Arrays.push_back({"nlpos", {256, 16}, {C.UnrollI, C.BankNlPos}, 1, 32});
+  K.Arrays.push_back({"nl", {256, 16}, {C.BankNl, 1}, 1, 32});
+  K.Arrays.push_back({"force", {256}, {C.BankForce}, 1, 32});
   // Nest 1 — the force computation. The Lennard-Jones force chain is a
   // long dependence-bound FP pipeline.
   LoopNest &Force = K.Nests[1];
@@ -304,11 +320,11 @@ KernelSpec dahlia::kernels::mdKnnSpec(const MdKnnConfig &C) {
       {"i", 256, C.UnrollI},
       {"j", 16, C.UnrollJ},
   };
-  Force.Body = {
-      {"position", {AffineExpr::var("i")}, false},
-      {"nlpos", {AffineExpr::var("i"), AffineExpr::var("j")}, false},
-      {"force", {AffineExpr::var("i")}, true},
-  };
+  Force.Body.reserve(3);
+  addAccess(Force, "position", false, AffineExpr::var("i"));
+  addAccess(Force, "nlpos", false, AffineExpr::var("i"),
+            AffineExpr::var("j"));
+  addAccess(Force, "force", true, AffineExpr::var("i"));
   Force.MulOps = 3;
   Force.AddOps = 2;
   Force.HasAccumulator = true;
@@ -370,26 +386,22 @@ KernelSpec dahlia::kernels::mdGridSpec(const MdGridConfig &C) {
   Nest.MulOps = 2;
   Nest.AddOps = 3;
   Nest.HasAccumulator = true;
-  K.Arrays = {
-      {"pos", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32},
-      {"frc", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32},
-  };
+  K.Arrays.reserve(2);
+  K.Arrays.push_back(
+      {"pos", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32});
+  K.Arrays.push_back(
+      {"frc", {4, 4, 4, 16}, {C.Bank1, C.Bank2, C.Bank3, 1}, 1, 32});
   Nest.Loops = {
       {"i", 4, C.Unroll1},
       {"j", 4, C.Unroll2},
       {"k", 4, C.Unroll3},
       {"a", 16, 1},
   };
-  Nest.Body = {
-      {"pos",
-       {AffineExpr::var("i"), AffineExpr::var("j"), AffineExpr::var("k"),
-        AffineExpr::var("a")},
-       false},
-      {"frc",
-       {AffineExpr::var("i"), AffineExpr::var("j"), AffineExpr::var("k"),
-        AffineExpr::constant(0)},
-       true},
-  };
+  Nest.Body.reserve(2);
+  addAccess(Nest, "pos", false, AffineExpr::var("i"), AffineExpr::var("j"),
+            AffineExpr::var("k"), AffineExpr::var("a"));
+  addAccess(Nest, "frc", true, AffineExpr::var("i"), AffineExpr::var("j"),
+            AffineExpr::var("k"), AffineExpr::constant(0));
   return K;
 }
 

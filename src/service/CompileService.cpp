@@ -563,6 +563,8 @@ Response CompileService::dseSweep(const Request &R) {
       SweepRunning = true;
       Pub = ProgressPublisher;
     }
+    if (Opts.OnSweepProgress)
+      Opts.OnSweepProgress(Rec);
     if (Pub)
       Pub(Rec);
   };

@@ -248,11 +248,12 @@ void TcpServer::readFrom(uint64_t Serial, Connection &C) {
     return;
   }
 
-  // Frame complete lines.
+  // Frame complete lines. Earlier reads already searched the unframed
+  // tail, so a long line is scanned once, not once per read.
   size_t Start = 0;
   size_t FramedLines = 0;
   while (true) {
-    size_t Nl = C.InBuf.find('\n', Start);
+    size_t Nl = C.InBuf.find('\n', std::max(Start, C.Scanned));
     if (Nl == std::string::npos)
       break;
     std::string Line = C.InBuf.substr(Start, Nl - Start);
@@ -268,6 +269,7 @@ void TcpServer::readFrom(uint64_t Serial, Connection &C) {
     ++FramedLines;
   }
   C.InBuf.erase(0, Start);
+  C.Scanned = C.InBuf.size();
 
   if (FramedLines) {
     std::lock_guard<std::mutex> Lock(StatsM);
@@ -285,6 +287,7 @@ void TcpServer::readFrom(uint64_t Serial, Connection &C) {
             " bytes"));
     C.OutQ.push_back(OutItem{Bad.toJson().dump() + "\n", nullptr});
     C.InBuf.clear();
+    C.Scanned = 0;
     C.ReadClosed = true;
     C.CloseAfterFlush = true;
   }

@@ -127,6 +127,7 @@ private:
     uint64_t AcceptUs = 0;      ///< Accept time on the tracing clock.
     bool Stalled = false;       ///< Currently read-side back-pressured.
     std::string InBuf;          ///< Read bytes not yet framed into lines.
+    size_t Scanned = 0;         ///< InBuf prefix known to hold no '\n'.
     size_t PendingLines = 0;    ///< Framed lines not yet dispatched.
     std::deque<OutItem> OutQ;   ///< Responses not yet in the write buffer.
     std::string WriteBuf;       ///< Serialized bytes awaiting the socket.

@@ -195,8 +195,9 @@ TEST(Driver, PhysicalBankAccessChargesTheCheckedBank) {
     hlsim::accessInstances(RK, RK.Nests[0], Inst);
     ASSERT_EQ(Inst.Accesses.size(), 1u);
     ASSERT_EQ(Inst.Accesses[0].Rows, 1u);
-    std::vector<int64_t> Reach;
-    hlsim::reachableBanks(RK, RK.Nests[0], RK.Nests[0].Body[0],
+    std::vector<int64_t> Strides, Reach;
+    hlsim::reachStrides(RK, RK.Nests[0], RK.Nests[0].Body[0], Strides);
+    hlsim::reachableBanks(RK, RK.Nests[0].Body[0], Strides.data(),
                           Inst.Residues.data(), Reach);
     EXPECT_EQ(Reach, std::vector<int64_t>{Bank});
     // Every walked group puts its one request on that bank.

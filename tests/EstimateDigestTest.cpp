@@ -18,6 +18,7 @@
 
 #include "cyclesim/CycleSim.h"
 #include "hlsim/Estimator.h"
+#include "hlsim/KernelAnalysis.h"
 #include "kernels/Kernels.h"
 #include "support/StableHash.h"
 
@@ -235,6 +236,146 @@ TEST(EstimateDigest, SpecHashes) {
     D.num(specHash(K));
   std::vector<uint64_t> Got = {Spaces, D.value()};
   std::vector<uint64_t> Want = {0x61c12d2059bb838c, 0xdb424598aa407753};
+  EXPECT_EQ(Got, Want) << hex(Got);
+}
+
+/// Hand specs for the instance paths the four spaces never take (every
+/// access of theirs maps its unrolled copies to distinct offsets, below
+/// the PE cap): colliding offsets, a truncated PE enumeration, accesses
+/// that mention no unrolled loop, negative and explicit-zero
+/// coefficients, and a 3-D partitioned array.
+struct EdgeCase {
+  const char *Name;
+  KernelSpec K;
+};
+
+KernelSpec edgeSpec(const char *Name, std::vector<ArraySpec> Arrays,
+                    std::vector<Loop> Loops, std::vector<Access> Body) {
+  KernelSpec K;
+  K.Name = Name;
+  K.FloatingPoint = false;
+  K.Arrays = std::move(Arrays);
+  LoopNest &N = K.Nests.front();
+  N.Loops = std::move(Loops);
+  N.Body = std::move(Body);
+  N.MulOps = 1;
+  N.AddOps = 1;
+  return K;
+}
+
+AffineExpr sum(std::initializer_list<std::pair<const char *, int64_t>> Terms,
+               int64_t Const = 0) {
+  AffineExpr E = AffineExpr::constant(Const);
+  for (const auto &[Var, Coeff] : Terms)
+    E.Coeffs[Var] = Coeff;
+  return E;
+}
+
+std::vector<EdgeCase> instanceEdgeCases() {
+  std::vector<EdgeCase> Cases;
+  // a[i + j] with both loops unrolled by 4: 16 copies, 7 distinct
+  // offsets, so banks hold several instances each. a[-i] has negative
+  // offsets; e[i + 0*j] mentions j with a zero coefficient.
+  Cases.push_back(
+      {"collide",
+       edgeSpec("edge-collide",
+                {{"a", {64}, {4}, 1, 32},
+                 {"b", {8, 8}, {2, 2}, 1, 32},
+                 {"e", {16}, {4}, 1, 32}},
+                {{"i", 8, 4}, {"j", 8, 4}},
+                {{"a", {sum({{"i", 1}, {"j", 1}})}, false},
+                 {"a", {sum({{"i", -1}})}, false},
+                 {"e", {sum({{"i", 1}, {"j", 0}})}, false},
+                 {"b", {AffineExpr::var("i"), AffineExpr::var("j")}, true}})});
+  // 64 x 64 unrolled copies pass kMaxPes: the kept copies are a prefix,
+  // and every loop is walked even for accesses that mention one or none.
+  // Unroll 64 does not divide the banking of 8, so the noise applies.
+  Cases.push_back(
+      {"truncated",
+       edgeSpec("edge-truncated",
+                {{"A", {64}, {8}, 1, 32},
+                 {"B", {64}, {16}, 2, 32},
+                 {"C", {64, 64}, {8, 8}, 1, 32},
+                 {"D", {4}, {2}, 1, 32}},
+                {{"i", 64, 64}, {"j", 64, 64}},
+                {{"A", {AffineExpr::var("i")}, false},
+                 {"B", {AffineExpr::var("j", 3, 1)}, false},
+                 {"D", {AffineExpr::constant(1)}, false},
+                 {"C", {AffineExpr::var("i"), AffineExpr::var("j")}, true}})});
+  // Accesses that mention no unrolled loop collapse to one instance.
+  Cases.push_back(
+      {"unmentioned",
+       edgeSpec("edge-unmentioned",
+                {{"s", {16}, {2}, 1, 32},
+                 {"d", {8}, {4}, 1, 32},
+                 {"x", {8}, {4}, 1, 32}},
+                {{"k", 16, 1}, {"i", 8, 4}},
+                {{"s", {AffineExpr::var("k")}, false},
+                 {"d", {AffineExpr::constant(3)}, false},
+                 {"x", {AffineExpr::var("i")}, true}})});
+  // A 3-D partitioned array, indexed directly and through (2i, j+k, k),
+  // plus one whose size the banking does not divide.
+  Cases.push_back(
+      {"three-d",
+       edgeSpec("edge-3d",
+                {{"T", {8, 8, 8}, {2, 4, 2}, 1, 32},
+                 {"U", {6, 8, 8}, {4, 2, 2}, 2, 32}},
+                {{"i", 8, 2}, {"j", 8, 4}, {"k", 8, 2}},
+                {{"T",
+                  {AffineExpr::var("i"), AffineExpr::var("j"),
+                   AffineExpr::var("k")},
+                  false},
+                 {"U",
+                  {AffineExpr::var("i"), AffineExpr::var("j"),
+                   AffineExpr::var("k")},
+                  false},
+                 {"T",
+                  {AffineExpr::var("i", 2), sum({{"j", 1}, {"k", 1}}),
+                   AffineExpr::var("k")},
+                  true}})});
+  return Cases;
+}
+
+TEST(EstimateDigest, InstanceEdgeCases) {
+  // Recorded with the comparator-sorted instance collection, before the
+  // packed-key order and the injective shortcut.
+  std::vector<EdgeCase> Cases = instanceEdgeCases();
+  std::vector<uint64_t> Got;
+  for (const EdgeCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    Digest D;
+    ResolvedKernel R;
+    resolve(C.K, R);
+    NestInstances I;
+    accessInstances(R, R.Nests.front(), I);
+    D.num(static_cast<uint64_t>(I.Accesses.size()));
+    for (const NestInstances::Span &S : I.Accesses) {
+      D.num(static_cast<uint64_t>(S.Rows));
+      for (size_t Row = 0; Row != S.Rows; ++Row)
+        D.num(I.Mult[S.FirstRow + Row]);
+    }
+    for (int64_t V : I.Residues)
+      D.num(V);
+    for (Fidelity F : {Fidelity::Coarse, Fidelity::Medium, Fidelity::Full,
+                       Fidelity::Exact})
+      D.estimate(estimateAt(C.K, F));
+    D.sim(cyclesim::simulate(C.K));
+    Got.push_back(D.value());
+  }
+  // a[i + j]: offsets 0..6 over banks 0..3, so banks 0-2 hold two
+  // instances each and bank 3 one.
+  {
+    ResolvedKernel R;
+    resolve(Cases[0].K, R);
+    NestInstances I;
+    accessInstances(R, R.Nests.front(), I);
+    const NestInstances::Span &S = I.Accesses[0];
+    EXPECT_EQ(std::vector<int64_t>(I.Mult.begin() + S.FirstRow,
+                                   I.Mult.begin() + S.FirstRow + S.Rows),
+              (std::vector<int64_t>{2, 2, 2, 1}));
+  }
+  std::vector<uint64_t> Want = {0x4619a0cd54716943, 0xdd1c0dd543fc8950,
+                                0x3778b813e8c2d95c, 0x1974dadff276e479};
   EXPECT_EQ(Got, Want) << hex(Got);
 }
 

@@ -1572,10 +1572,72 @@ TEST(Service, CacheExportImportRoundTripMakesColdServiceWarm) {
   EXPECT_FALSE(ColdC.cacheImport(std::move(Bad)).R.Ok);
 }
 
-TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
+TEST(TcpServer, LongLineInSmallReadsFramesOnce) {
   if (!haveSockets())
     GTEST_SKIP() << "no sockets on this platform";
   CompileService Svc(testOptions());
+  TcpServer Srv(Svc);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+  std::thread Loop([&] { Srv.run(); });
+
+  // A check request padded to ~200 KB with source whitespace, ending in
+  // "\r\n". It goes out in 4 KB writes, each one read by the server
+  // before the next is sent, and the last write holds only the '\n'.
+  Request Chk;
+  Chk.Kind = Op::Check;
+  Chk.Id = 7;
+  Chk.Source = std::string(AcceptedSrc) + std::string(200000, ' ');
+  const std::string Line = Chk.toJson().dump() + "\r\n";
+  int Fd = connectLoopback(Srv.port());
+  ASSERT_GE(Fd, 0);
+  {
+    FdStreamBuf Buf(Fd);
+    std::istream In(&Buf);
+    std::ostream Out(&Buf);
+    constexpr size_t Chunk = 4096;
+    size_t Sent = 0;
+    while (Sent != Line.size()) {
+      const size_t N = Sent + 1 == Line.size()
+                           ? 1
+                           : std::min(Chunk, Line.size() - 1 - Sent);
+      ASSERT_TRUE(Out.write(Line.data() + Sent, static_cast<std::streamsize>(N))
+                      .flush());
+      Sent += N;
+      ASSERT_TRUE(waitUntil([&] { return Srv.stats().BytesRead == Sent; }));
+    }
+    std::string Reply;
+    ASSERT_TRUE(std::getline(In, Reply));
+    std::optional<Json> R = Json::parse(Reply, &Err);
+    ASSERT_TRUE(R.has_value()) << Err;
+    EXPECT_EQ(R->at("id").asInt(), 7);
+    EXPECT_TRUE(R->at("ok").asBool()) << Reply;
+  }
+  closeFd(Fd);
+  EXPECT_EQ(Srv.stats().RequestLines, 1u);
+  Srv.stop();
+  Loop.join();
+}
+
+TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
+  if (!haveSockets())
+    GTEST_SKIP() << "no sockets on this platform";
+  // The watcher must see the sweep in flight however fast it runs. A
+  // sweep ticks progress at least twice (its phase start and its final
+  // observation), and each tick sends a watcher at most one record, once
+  // the watch interval has elapsed. So until two records went out during
+  // the sweep, every tick first waits out the interval.
+  const metrics::Counter &WatchRecords =
+      metrics::counter("server.watch_records");
+  std::optional<uint64_t> RecordsAtStart;
+  ServiceOptions SO = testOptions();
+  SO.OnSweepProgress = [&](const Json &) {
+    if (!RecordsAtStart)
+      RecordsAtStart = WatchRecords.value();
+    if (WatchRecords.value() - *RecordsAtStart < 2)
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  };
+  CompileService Svc(SO);
   TcpServer Srv(Svc);
   std::string Err;
   ASSERT_TRUE(Srv.start(&Err)) << Err;
@@ -1601,9 +1663,8 @@ TEST(TcpServer, WatchStreamsLiveProgressDuringSweep) {
     WatchOk.store(true);
   });
 
-  // Wait until the server has registered the watch, then run a sweep
-  // long enough to span several watch intervals: the whole space, which
-  // takes well over half a second at two threads.
+  // Wait until the server has registered the watch, then run a sweep of
+  // the whole space (held in flight by the hook above).
   EXPECT_TRUE(
       waitUntil([&] { return WatchStreams.value() > WatchStreamsBefore; }))
       << "the watch was never registered";
