@@ -132,16 +132,16 @@ struct ResolvedKernel {
   std::vector<int64_t> BankPressure;
   /// Scratch of \c arbitrateGroup and \c sampledConflictII: the touched
   /// banks with their port counts, the sequential residues of every
-  /// access row, and the sampled scan's state (see there): loop groups,
-  /// steps and wraps, and the residues of the samples kept so far.
+  /// access row, and the sampled scan's terms and the residues of the
+  /// samples kept so far (see there).
   std::vector<std::pair<uint32_t, unsigned>> Touched;
-  std::vector<int64_t> SeqMod, Iter, Groups, Step, Seen;
-  std::vector<uint8_t> Wrapped;
-  /// A row's residue moves when loop \c Loop steps: by \c Move[0], or by
-  /// \c Move[1] when the loop wraps, modulo \c Part.
+  std::vector<int64_t> SeqMod, Seen;
+  /// One nonzero relative stride of the sampled scan: row \c Row's
+  /// residue moves by \c Stride per group of loop \c Loop (which has
+  /// \c Groups groups), modulo \c Part.
   struct ScanTerm {
     size_t Row, Loop;
-    int64_t Part, Move[2];
+    int64_t Stride, Groups, Part;
   };
   std::vector<ScanTerm> Terms;
 };
@@ -509,21 +509,9 @@ inline double sampledConflictII(ResolvedKernel &R, const ResolvedNest &N,
   // arbitration, unchanged. The scan therefore tracks each row's residue
   // relative to the same dimension of the array's first access in the
   // body; a repeat of an earlier sample's relative residues cannot raise
-  // the max. Sample 0 is group 0 of every loop, where every residue is
-  // 0. Each later sample steps loop L by Step groups, or by Step - Groups
-  // when it wraps, and either move shifts a relative residue by a
-  // constant: the scan keeps one term per row and moving loop, and steps
-  // the residues without dividing.
-  R.Iter.assign(NL, 0);
-  R.Groups.resize(NL);
-  R.Step.resize(NL);
-  R.Wrapped.resize(NL);
-  for (size_t L = 0; L != NL; ++L) {
-    // A loop with no full group stays at group 0.
-    R.Groups[L] = std::max<int64_t>(
-        N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1), 1);
-    R.Step[L] = static_cast<int64_t>(2 * L + 1) % R.Groups[L];
-  }
+  // the max. Only the loops a row's index moves by a different stride
+  // than the first access's contribute terms; a row without one stays at
+  // residue 0, as every row does at sample 0.
   R.Terms.clear();
   for (const ResolvedAccess &A : N.Body) {
     const ResolvedAccess &First = *std::find_if(
@@ -535,33 +523,23 @@ inline double sampledConflictII(ResolvedKernel &R, const ResolvedNest &N,
       for (size_t L = 0; L != NL; ++L) {
         const int64_t Stride =
             (N.row(Row)[L] - N.row(First.FirstRow + D)[L]) * N.Unroll[L];
-        if (Stride != 0 && R.Step[L] != 0 && P > 1)
-          R.Terms.push_back(
-              {Row, L, P,
-               {floorMod(Stride * R.Step[L], P),
-                floorMod(Stride * (R.Step[L] - R.Groups[L]), P)}});
+        // A loop with no second full group stays at group 0.
+        const int64_t Groups = N.Trip[L] / std::max<int64_t>(N.Unroll[L], 1);
+        if (Stride != 0 && Groups > 1 && P > 1)
+          R.Terms.push_back({Row, L, Stride, Groups, P});
       }
     }
   }
 
   double II = 1.0;
   int64_t Ignored = 1;
-  R.SeqMod.assign(Rows, 0);
   R.Seen.clear();
   for (int Sample = 0; Sample < Samples; ++Sample) {
-    if (Sample != 0) {
-      for (size_t L = 0; L != NL; ++L) {
-        R.Iter[L] += R.Step[L];
-        R.Wrapped[L] = R.Iter[L] >= R.Groups[L];
-        if (R.Wrapped[L])
-          R.Iter[L] -= R.Groups[L];
-      }
-      for (const ResolvedKernel::ScanTerm &T : R.Terms) {
-        int64_t &Res = R.SeqMod[T.Row];
-        Res += T.Move[R.Wrapped[T.Loop]];
-        if (Res >= T.Part)
-          Res -= T.Part;
-      }
+    R.SeqMod.assign(Rows, 0);
+    for (const ResolvedKernel::ScanTerm &T : R.Terms) {
+      const int64_t Group =
+          Sample * static_cast<int64_t>(2 * T.Loop + 1) % T.Groups;
+      R.SeqMod[T.Row] = floorMod(R.SeqMod[T.Row] + T.Stride * Group, T.Part);
     }
     bool Repeat = false;
     for (size_t Prev = 0; Prev != R.Seen.size() && !Repeat; Prev += Rows)

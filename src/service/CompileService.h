@@ -69,9 +69,9 @@ struct ServiceOptions {
   /// exceeds this many milliseconds emits one JSON line on stderr
   /// (trace_id, op, latency_ms, ...). 0 disables the log.
   double SlowRequestMs = 0;
-  /// Called with every dse-sweep progress record, on the sweeping thread
-  /// and before the record is published: an embedder's view of a sweep
-  /// in flight. Null by default.
+  /// Test seam: called with every dse-sweep progress record, on the
+  /// sweeping thread and before the record is published, so a test can
+  /// hold a sweep in flight. Null by default.
   std::function<void(const Json &)> OnSweepProgress;
 };
 

@@ -1572,7 +1572,7 @@ TEST(Service, CacheExportImportRoundTripMakesColdServiceWarm) {
   EXPECT_FALSE(ColdC.cacheImport(std::move(Bad)).R.Ok);
 }
 
-TEST(TcpServer, LongLineInSmallReadsFramesOnce) {
+TEST(TcpServer, LongLineSplitAcrossSmallReadsFramesOneRequest) {
   if (!haveSockets())
     GTEST_SKIP() << "no sockets on this platform";
   CompileService Svc(testOptions());
